@@ -29,6 +29,14 @@ fn pool_lock() -> MutexGuard<'static, ()> {
     POOL_CONFIG.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Compute a sequential oracle under the pool lock. The armed-fault test
+/// arms a process-global one-shot fault under this lock; an oracle
+/// computed outside it could absorb that fault and diverge.
+fn oracle<T>(f: impl FnOnce() -> T) -> T {
+    let _guard = pool_lock();
+    f()
+}
+
 /// Run `f` at each worker count in the matrix, restoring the machine
 /// default (and a free-running steal order) afterwards.
 fn for_each_worker_count(f: impl Fn(usize)) {
@@ -65,9 +73,11 @@ fn interitem_dgemm_batch_is_bit_identical_at_every_worker_count() {
     let a_data = packed_stream(&a_mats);
     let b_data = packed_stream(&b_mats);
     let emu = Ozaki2::new(nmod, Mode::Fast);
-    let oracle: Vec<MatF64> = (0..count)
-        .map(|i| emu.dgemm(&a_mats[i], &b_mats[i]))
-        .collect();
+    let oracle: Vec<MatF64> = oracle(|| {
+        (0..count)
+            .map(|i| emu.dgemm(&a_mats[i], &b_mats[i]))
+            .collect()
+    });
 
     for_each_worker_count(|w| {
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
@@ -93,7 +103,7 @@ fn intraitem_stripes_are_bit_identical_at_every_worker_count() {
     let b = phi_matrix_f64(k, n, 0.55, 99, 1);
     let a_data = packed_stream(&a_mats);
     let emu = Ozaki2::new(nmod, Mode::Fast);
-    let oracle: Vec<MatF64> = a_mats.iter().map(|a| emu.dgemm(a, &b)).collect();
+    let oracle: Vec<MatF64> = oracle(|| a_mats.iter().map(|a| emu.dgemm(a, &b)).collect());
 
     for_each_worker_count(|w| {
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
@@ -136,7 +146,7 @@ fn ragged_group_is_bit_identical_at_every_worker_count() {
     }
 
     let emu = Ozaki2::new(nmod, Mode::Fast);
-    let oracle: Vec<MatF64> = items.iter().map(|(a, b)| emu.dgemm(a, b)).collect();
+    let oracle: Vec<MatF64> = oracle(|| items.iter().map(|(a, b)| emu.dgemm(a, b)).collect());
 
     for_each_worker_count(|w| {
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
@@ -160,7 +170,7 @@ fn sgemm_batch_is_bit_identical_at_every_worker_count() {
         a_data.extend_from_slice(a.as_slice());
     }
     let emu = Ozaki2::new(nmod, Mode::Fast);
-    let oracle: Vec<MatF32> = a_mats.iter().map(|a| emu.sgemm(a, &b)).collect();
+    let oracle: Vec<MatF32> = oracle(|| a_mats.iter().map(|a| emu.sgemm(a, &b)).collect());
 
     for_each_worker_count(|w| {
         let runtime = BatchedOzaki2::new(nmod, Mode::Fast);
@@ -197,7 +207,7 @@ fn seeded_steal_orders_leave_results_bit_identical() {
         items.push((a, b));
     }
     let emu = Ozaki2::new(nmod, Mode::Fast);
-    let oracle: Vec<MatF64> = items.iter().map(|(a, b)| emu.dgemm(a, b)).collect();
+    let oracle: Vec<MatF64> = oracle(|| items.iter().map(|(a, b)| emu.dgemm(a, b)).collect());
 
     let _guard = pool_lock();
     rayon::set_num_threads(4);
@@ -231,9 +241,11 @@ fn armed_fault_recovery_is_bit_identical_at_every_worker_count() {
     let a_data = packed_stream(&a_mats);
     let b_data = packed_stream(&b_mats);
     let emu = Ozaki2::new(nmod, Mode::Fast).with_fault_policy(FaultPolicy::Off);
-    let oracle: Vec<MatF64> = (0..count)
-        .map(|i| emu.dgemm(&a_mats[i], &b_mats[i]))
-        .collect();
+    let oracle: Vec<MatF64> = oracle(|| {
+        (0..count)
+            .map(|i| emu.dgemm(&a_mats[i], &b_mats[i]))
+            .collect()
+    });
 
     let injected_before = faultinject::injected();
     for_each_worker_count(|w| {

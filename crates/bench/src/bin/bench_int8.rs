@@ -45,7 +45,7 @@ use gemm_bench::report::Args;
 use gemm_dense::workload::phi_matrix_f64;
 use gemm_dense::{MatF64, Matrix};
 use gemm_engine::{
-    int8_gemm_blocked, int8_gemm_blocked_seq, int8_gemm_rm_cm_scalar, microkernel_name,
+    amx_status, int8_gemm_blocked, int8_gemm_blocked_seq, int8_gemm_rm_cm_scalar, microkernel_name,
     mod_kernel_name, padded_a_rows, padded_depth, Int8Workspace,
 };
 use ozaki2::accumulate::{fold_kernel_name, fold_planes, FoldPrecision};
@@ -548,6 +548,10 @@ fn main() {
         "int8 engine @ {n}x{n}x{n} (microkernel: {})",
         microkernel_name()
     );
+    match amx_status() {
+        Ok(()) => println!("  amx-int8    : available"),
+        Err(reason) => println!("  amx-int8    : unavailable, fell back ({reason})"),
+    }
     println!(
         "  scalar seed : {:8.2} GOPS\n  blocked 1T  : {:8.2} GOPS\n  blocked     : {:8.2} GOPS\n  1T speedup  : {speedup:8.2}x",
         gops(t_scalar),

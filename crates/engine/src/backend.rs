@@ -38,7 +38,9 @@
 //! the emulator was configured for, so results are bit-identical under
 //! every value — that is the CI forced-backend matrix). `scalar` keeps the
 //! configured engines but forces their scalar oracle kernels, exactly like
-//! the legacy `OZAKI_FORCE_SCALAR=1` alias.
+//! the legacy `OZAKI_FORCE_SCALAR=1` alias. `amx` and `vnni` pin the INT8
+//! engine and also its kernel: `amx` requires the AMX-INT8 kernel (and
+//! panics where it is unavailable), `vnni` caps it at AVX-512 VNNI.
 
 use crate::int8::{
     padded_a_rows, padded_b_cols, padded_depth, stripe_count, AccumulateEpilogue, Epilogue,
@@ -82,7 +84,7 @@ impl BackendKind {
     /// is handled separately — it forces kernels, not a backend).
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "int8" | "vnni" => Some(BackendKind::Int8),
+            "int8" => Some(BackendKind::Int8),
             "fma-bf16" | "fma_bf16" | "bf16" | "fma" => Some(BackendKind::FmaBf16),
             _ => None,
         }
@@ -130,11 +132,18 @@ pub fn forced_backend() -> Option<BackendKind> {
             "" | "0" => None,
             // Kernel force, not an engine swap (see force_scalar()).
             "scalar" => None,
+            // The INT8 engine, its kernel pinned to AMX or capped at
+            // AVX-512 VNNI (see int8::kernel_force()). Resolving the
+            // kernel now makes an unavailable `amx` fail loudly here.
+            "amx" | "vnni" => {
+                crate::int8::tile_kernel();
+                Some(BackendKind::Int8)
+            }
             _ => match BackendKind::parse(&v) {
                 Some(k) => Some(k),
                 None => panic!(
                     "OZAKI_FORCE_BACKEND: unknown backend {raw:?} \
-                     (expected int8 | fma-bf16 | scalar)"
+                     (expected int8 | amx | vnni | fma-bf16 | scalar)"
                 ),
             },
         }

@@ -37,6 +37,9 @@
 //!    accumulation wraps. The kernel is selected once per process by
 //!    runtime feature detection: AVX-512 VNNI, AVX-512 BW, AVX2, or a
 //!    portable scalar fallback (also the reference for parity tests).
+//!    Above them sits the AMX-INT8 rung ([`amx_status`]), which replaces
+//!    the per-tile sweep of a whole stripe with `tdpbssd` tile products
+//!    over i8 narrowings of the same panels (see `int8/amx.rs`).
 //! 3. **Cache blocking.** Per stripe the tile sweep runs `ic` ([`MC`] rows,
 //!    keeps the active A block L2-resident) over `pc` ([`KC`] depth, keeps
 //!    one A-panel + one B-panel L1-resident) over the `jt`/`it` tile grid,
@@ -552,7 +555,9 @@ pub fn pack_panels_i16(
 
 /// Which tile kernel the running CPU supports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum TileKernel {
+pub(crate) enum TileKernel {
+    #[cfg(target_arch = "x86_64")]
+    Amx,
     #[cfg(target_arch = "x86_64")]
     Avx512Vnni,
     #[cfg(target_arch = "x86_64")]
@@ -560,6 +565,38 @@ enum TileKernel {
     #[cfg(target_arch = "x86_64")]
     Avx2,
     Scalar,
+}
+
+/// The kernel-dispatch cap the environment sets for the process, read
+/// once: `OZAKI_FORCE_BACKEND=scalar` (or the legacy
+/// `OZAKI_FORCE_SCALAR`, any non-empty value other than `0`) pins the
+/// scalar kernels, `vnni` caps the INT8 engine at its AVX-512 VNNI
+/// kernel, `amx` requires the AMX-INT8 kernel.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum KernelForce {
+    Auto,
+    Amx,
+    Vnni,
+    Scalar,
+}
+
+pub(crate) fn kernel_force() -> KernelForce {
+    static FORCED: std::sync::OnceLock<KernelForce> = std::sync::OnceLock::new();
+    *FORCED.get_or_init(|| {
+        let legacy = std::env::var("OZAKI_FORCE_SCALAR")
+            .map(|v| !v.is_empty() && v != "0")
+            .unwrap_or(false);
+        if legacy {
+            return KernelForce::Scalar;
+        }
+        let backend = std::env::var("OZAKI_FORCE_BACKEND").unwrap_or_default();
+        match backend.trim().to_ascii_lowercase().as_str() {
+            "scalar" => KernelForce::Scalar,
+            "amx" => KernelForce::Amx,
+            "vnni" => KernelForce::Vnni,
+            _ => KernelForce::Auto,
+        }
+    })
 }
 
 /// Whether SIMD dispatch is globally forced to the scalar kernels, via
@@ -570,22 +607,79 @@ enum TileKernel {
 /// (INT8 tile/mod kernels, the FMA dot kernel, trunc/convert/fold sweeps),
 /// not just this module's.
 pub fn force_scalar() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| {
-        let legacy = std::env::var("OZAKI_FORCE_SCALAR")
-            .map(|v| !v.is_empty() && v != "0")
-            .unwrap_or(false);
-        let via_backend = std::env::var("OZAKI_FORCE_BACKEND")
-            .map(|v| v.trim().eq_ignore_ascii_case("scalar"))
-            .unwrap_or(false);
-        legacy || via_backend
+    kernel_force() == KernelForce::Scalar
+}
+
+/// Why the AMX-INT8 kernel cannot run in this process.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AmxUnavailable {
+    /// Not an x86-64 Linux process.
+    Platform,
+    /// CPUID.(7,0):EDX lacks AMX-TILE (bit 24) or AMX-INT8 (bit 25), or
+    /// the CPU lacks the AVX-512BW the narrowing step uses.
+    Cpu,
+    /// The OS has not enabled XSAVE, or tile state in XCR0 (bits 17, 18).
+    Os,
+    /// `arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)` failed with
+    /// this errno.
+    Permission(i64),
+}
+
+impl std::fmt::Display for AmxUnavailable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AmxUnavailable::Platform => f.write_str("not an x86-64 Linux process"),
+            AmxUnavailable::Cpu => {
+                f.write_str("CPU lacks AMX-TILE/AMX-INT8 (CPUID.7.0:EDX[24,25]) or AVX-512BW")
+            }
+            AmxUnavailable::Os => f.write_str("OS has not enabled tile state in XCR0[17,18]"),
+            AmxUnavailable::Permission(errno) => write!(
+                f,
+                "arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA) refused (errno {errno})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AmxUnavailable {}
+
+/// Whether this process can run the AMX-INT8 kernel, or why not. The
+/// checks — CPUID, XCR0 and the one-time tile-data permission request —
+/// run once per process. When this returns `Err`, the INT8 engine falls
+/// back to its AVX-512 VNNI kernel (or the best vector kernel below it).
+pub fn amx_status() -> Result<(), AmxUnavailable> {
+    static STATUS: std::sync::OnceLock<Result<(), AmxUnavailable>> = std::sync::OnceLock::new();
+    *STATUS.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        return amx::detect();
+        #[cfg(not(target_arch = "x86_64"))]
+        Err(AmxUnavailable::Platform)
     })
 }
 
 fn detect_tile_kernel() -> TileKernel {
-    if force_scalar() {
-        return TileKernel::Scalar;
+    match kernel_force() {
+        KernelForce::Scalar => return TileKernel::Scalar,
+        KernelForce::Vnni => return vector_tile_kernel(),
+        KernelForce::Amx => {
+            if let Err(reason) = amx_status() {
+                panic!("OZAKI_FORCE_BACKEND=amx: the AMX-INT8 kernel is unavailable: {reason}");
+            }
+        }
+        KernelForce::Auto => {
+            if amx_status().is_err() {
+                return vector_tile_kernel();
+            }
+        }
     }
+    #[cfg(target_arch = "x86_64")]
+    return TileKernel::Amx;
+    #[cfg(not(target_arch = "x86_64"))]
+    unreachable!("amx_status() is Err off x86-64")
+}
+
+/// The best per-tile (`vpmaddwd`-family) kernel the CPU supports.
+fn vector_tile_kernel() -> TileKernel {
     #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx512bw") && is_x86_feature_detected!("avx512vnni") {
@@ -601,14 +695,26 @@ fn detect_tile_kernel() -> TileKernel {
     TileKernel::Scalar
 }
 
-fn tile_kernel() -> TileKernel {
+pub(crate) fn tile_kernel() -> TileKernel {
     static KERNEL: std::sync::OnceLock<TileKernel> = std::sync::OnceLock::new();
     *KERNEL.get_or_init(detect_tile_kernel)
+}
+
+/// Columns per stripe panel for the dispatched kernel: one AMX tile of B
+/// columns, else one [`NR`]-wide B-panel.
+fn stripe_unit() -> usize {
+    match tile_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        TileKernel::Amx => amx::STRIPE_COLS,
+        _ => NR,
+    }
 }
 
 /// Human-readable name of the microkernel the running CPU dispatches to.
 pub fn microkernel_name() -> &'static str {
     match tile_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        TileKernel::Amx => "amx-int8",
         #[cfg(target_arch = "x86_64")]
         TileKernel::Avx512Vnni => "avx512-vnni",
         #[cfg(target_arch = "x86_64")]
@@ -636,6 +742,9 @@ fn tile_scalar(kc: usize, lda: usize, ldb: usize, a: &[i16], b: &[i16], out: &mu
         }
     }
 }
+
+#[cfg(target_arch = "x86_64")]
+mod amx;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -802,6 +911,8 @@ fn run_tile(
 ) {
     match kernel {
         #[cfg(target_arch = "x86_64")]
+        TileKernel::Amx => unreachable!("the AMX kernel sweeps whole stripes"),
+        #[cfg(target_arch = "x86_64")]
         // SAFETY: variant selected only after runtime feature detection;
         // slice lengths are established by the packed-panel layout.
         TileKernel::Avx512Vnni => unsafe { x86::tile_vnni(kc, lda, ldb, a, b, out) },
@@ -832,14 +943,11 @@ struct StripeJob<'a, E: Epilogue> {
     bpack: &'a mut Vec<i16>,
 }
 
-/// The cache-blocked tile sweep over one column stripe of already-packed
-/// panels, followed by the fused epilogue on the still-resident stripe.
-///
-/// `apack` and `bpack` are panel bases already offset to the depth window:
-/// row `i` of A at `i * lda`, stripe-local column `j` of B at `j * ldb`,
-/// with `kp_eff` (a multiple of [`PK`]) depth elements to consume.
+/// The cache-blocked sweep of a per-tile kernel over one column stripe
+/// (the arguments of [`stripe_compute`]; `kp_eff > 0`).
 #[allow(clippy::too_many_arguments)]
-fn stripe_compute<E: Epilogue>(
+fn tile_sweep(
+    kernel: TileKernel,
     m: usize,
     kp_eff: usize,
     lda: usize,
@@ -848,19 +956,7 @@ fn stripe_compute<E: Epilogue>(
     bpack: &[i16],
     nc: usize,
     c: &mut [i32],
-    out: &mut [E::Out],
-    epi: &E,
 ) {
-    let kernel = if crate::faultinject::in_scalar_scope() {
-        TileKernel::Scalar
-    } else {
-        tile_kernel()
-    };
-    if kp_eff == 0 {
-        // No depth to consume: the product is all zeros (only reachable
-        // through entry points that do not early-out on k == 0).
-        c.fill(0);
-    }
     let mut tile = [[0i32; MR]; NR];
     for ic in (0..m).step_by(MC) {
         let ilim = (ic + MC).min(m);
@@ -897,6 +993,50 @@ fn stripe_compute<E: Epilogue>(
                 }
             }
             pc += kc;
+        }
+    }
+}
+
+/// The cache-blocked tile sweep over one column stripe of already-packed
+/// panels, followed by the fused epilogue on the still-resident stripe.
+///
+/// `apack` and `bpack` are panel bases already offset to the depth window:
+/// row `i` of A at `i * lda`, stripe-local column `j` of B at `j * ldb`,
+/// with `kp_eff` (a multiple of [`PK`]) depth elements to consume.
+#[allow(clippy::too_many_arguments)]
+fn stripe_compute<E: Epilogue>(
+    m: usize,
+    kp_eff: usize,
+    lda: usize,
+    ldb: usize,
+    apack: &[i16],
+    bpack: &[i16],
+    nc: usize,
+    c: &mut [i32],
+    out: &mut [E::Out],
+    epi: &E,
+) {
+    let kernel = if crate::faultinject::in_scalar_scope() {
+        TileKernel::Scalar
+    } else {
+        tile_kernel()
+    };
+    if kp_eff == 0 {
+        // No depth to consume: the product is all zeros (only reachable
+        // through entry points that do not early-out on k == 0).
+        c.fill(0);
+    } else {
+        match kernel {
+            #[cfg(target_arch = "x86_64")]
+            TileKernel::Amx => {
+                // SAFETY: the AMX kernel is selected only after
+                // amx_status() returned Ok.
+                if !unsafe { amx::stripe_sweep(m, kp_eff, lda, ldb, apack, bpack, nc, c) } {
+                    let vector = vector_tile_kernel();
+                    tile_sweep(vector, m, kp_eff, lda, ldb, apack, bpack, nc, c);
+                }
+            }
+            _ => tile_sweep(kernel, m, kp_eff, lda, ldb, apack, bpack, nc, c),
         }
     }
     // Fault-injection seam: the completed INT32 stripe, before the fused
@@ -998,11 +1138,13 @@ pub fn int8_gemm_fused<E: Epilogue>(
     pack_panels_i16(&mut ws.apack, a, lda, m, m_pad, k, kp);
     let apack: &[i16] = &ws.apack;
 
-    // Stripes of whole B-panels, oversubscribed 2x against the worker count
-    // so the work-stealing pool can rebalance when stripes finish unevenly
-    // (fewer when n is small). Stripe boundaries never change per-element
-    // accumulation order, so the stripe count cannot affect results.
-    let n_panels = n.div_ceil(NR);
+    // Stripes of whole B-panels (whole B tiles under AMX), oversubscribed
+    // 2x against the worker count so the work-stealing pool can rebalance
+    // when stripes finish unevenly (fewer when n is small). Stripe
+    // boundaries never change per-element accumulation order, so the
+    // stripe count cannot affect results.
+    let unit = stripe_unit();
+    let n_panels = n.div_ceil(unit);
     let stripes = if parallel { stripe_count(n_panels) } else { 1 };
     if ws.bpacks.len() < stripes {
         ws.bpacks.resize_with(stripes, Vec::new);
@@ -1014,8 +1156,8 @@ pub fn int8_gemm_fused<E: Epilogue>(
     for (s, bpack) in ws.bpacks[..stripes].iter_mut().enumerate() {
         let p0 = s * n_panels / stripes;
         let p1 = (s + 1) * n_panels / stripes;
-        let j0 = p0 * NR;
-        let nc = n.min(p1 * NR) - j0;
+        let j0 = p0 * unit;
+        let nc = n.min(p1 * unit) - j0;
         let (c_stripe, rest) = c_rest.split_at_mut(m * nc);
         c_rest = rest;
         let out_stripe = if E::ACTIVE {
@@ -1126,7 +1268,8 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     }
     let a_base = &apack[depth_off..];
 
-    let n_panels = n.div_ceil(NR);
+    let unit = stripe_unit();
+    let n_panels = n.div_ceil(unit);
     let stripes = if parallel { stripe_count(n_panels) } else { 1 };
 
     struct PrepackedJob<'a, E: Epilogue> {
@@ -1141,8 +1284,8 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     for s in 0..stripes {
         let p0 = s * n_panels / stripes;
         let p1 = (s + 1) * n_panels / stripes;
-        let j0 = p0 * NR;
-        let nc = n.min(p1 * NR) - j0;
+        let j0 = p0 * unit;
+        let nc = n.min(p1 * unit) - j0;
         let (c_stripe, rest) = c_rest.split_at_mut(m * nc);
         c_rest = rest;
         let out_stripe = if E::ACTIVE {
@@ -1355,8 +1498,9 @@ mod tests {
         let mut want = [[0i32; NR]; MR];
         tile_scalar(kc, lda, lda, &a16, &b16, &mut want);
         let mut got = [[0i32; NR]; MR];
-        run_tile(tile_kernel(), kc, lda, lda, &a16, &b16, &mut got);
-        assert_eq!(got, want, "kernel={}", microkernel_name());
+        let kernel = vector_tile_kernel();
+        run_tile(kernel, kc, lda, lda, &a16, &b16, &mut got);
+        assert_eq!(got, want, "kernel={kernel:?}");
     }
 
     #[test]
@@ -1570,6 +1714,45 @@ mod tests {
     }
 
     #[test]
+    fn panels_outside_i8_stay_exact() {
+        // The i16 kernels multiply any i16 exactly (mod 2^32); the AMX
+        // rung narrows to i8, so it must hand such panels back to them.
+        let (m, n, k) = (40usize, 35usize, 3 * PK);
+        let a: Vec<i16> = (0..padded_a_rows(m) * k)
+            .map(|i| ((i * 7919) % 4001) as i16 - 2000)
+            .collect();
+        let mut b: Vec<i16> = (0..padded_b_cols(n) * k)
+            .map(|i| ((i * 104_729) % 255) as i16 - 127)
+            .collect();
+        b[5 * k + 17] = 128;
+        let mut want = vec![0i32; m * n];
+        for j in 0..n {
+            for i in 0..m {
+                want[j * m + i] = (0..k).fold(0i32, |acc, h| {
+                    acc.wrapping_add(a[i * k + h] as i32 * b[j * k + h] as i32)
+                });
+            }
+        }
+        for parallel in [false, true] {
+            let mut got = vec![0i32; m * n];
+            int8_gemm_prepacked_fused(
+                m,
+                n,
+                k,
+                &a,
+                &b,
+                k,
+                0,
+                &mut got,
+                &mut [],
+                &NoEpilogue,
+                parallel,
+            );
+            assert_eq!(got, want, "parallel={parallel}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "depth_off must be PK-aligned")]
     fn prepacked_rejects_unaligned_offset() {
         let apack = vec![0i16; padded_a_rows(1) * PK];
@@ -1633,16 +1816,6 @@ mod tests {
             int8_gemm_blocked(16, 12, 48, &a, b.as_slice(), &mut c, &mut ws);
             assert_eq!(ws.bytes(), after_first, "steady state must not allocate");
         }
-    }
-
-    #[test]
-    fn records_stats() {
-        INT8_STATS.reset();
-        let a = pattern_mat(4, 8, 3);
-        let b = pattern_mat(8, 2, 4);
-        let _ = int8_gemm(&a, &b);
-        assert_eq!(INT8_STATS.calls(), 1);
-        assert_eq!(INT8_STATS.macs(), 4 * 8 * 2);
     }
 
     #[test]

@@ -213,7 +213,7 @@ mod backend_oracle {
     use super::*;
     use gemm_engine::{
         pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth, BackendKind, FmaBf16Backend,
-        Int8Backend, ResidueBackend,
+        Int8Backend, ResidueBackend, PK,
     };
 
     /// `⌊2^32 / p⌋ - 1`, the Barrett reciprocal every engine consumes.
@@ -349,6 +349,156 @@ mod backend_oracle {
             let want = oracle_u8(&a, &b, p);
             let got = run_backend(&FmaBf16Backend, &a, &b, p, false);
             prop_assert_eq!(&got, &want, "k={}", k);
+        }
+    }
+
+    /// Whether the INT8 engine dispatches its AMX-INT8 kernel here; prints
+    /// why not, so a host without AMX shows the skip instead of passing
+    /// the AMX checks vacuously.
+    fn amx_dispatched(test: &str) -> bool {
+        let kernel = gemm_engine::microkernel_name();
+        if kernel == "amx-int8" {
+            return true;
+        }
+        let reason = match gemm_engine::amx_status() {
+            Ok(()) => "capped by OZAKI_FORCE_BACKEND".to_string(),
+            Err(e) => e.to_string(),
+        };
+        println!("SKIP {test}: microkernel is {kernel}, not amx-int8 ({reason})");
+        false
+    }
+
+    /// Oracle over a depth window of row-major `a` (`m x k_full`) and
+    /// column-major `b` (`n` columns of `k_full`): exact i64 dot products
+    /// of depth `[h0, h0 + kb)`, in the engine's column-major plane order.
+    fn window_dots(
+        a: &[i8],
+        b: &[i8],
+        m: usize,
+        n: usize,
+        k_full: usize,
+        h0: usize,
+        kb: usize,
+    ) -> Vec<i64> {
+        let mut out = vec![0i64; m * n];
+        for j in 0..n {
+            for i in 0..m {
+                out[j * m + i] = (h0..h0 + kb)
+                    .map(|h| a[i * k_full + h] as i64 * b[j * k_full + h] as i64)
+                    .sum();
+            }
+        }
+        out
+    }
+
+    /// Full-range i8 values from a seed.
+    fn i8_stream(seed: u64, len: usize) -> Vec<i8> {
+        let mut s = seed | 1;
+        (0..len)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (s >> 56) as i8
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The AMX-INT8 kernel reproduces the i64/`rem_euclid` oracle on
+        /// ragged shapes (m, n off the 16-row tile, depth off the 64-byte
+        /// tile row) and on depth windows at nonzero offsets — both the
+        /// final window of the panels and an interior PK-multiple one.
+        #[test]
+        fn amx_kernel_matches_the_scalar_oracle(
+            m in 1usize..70,
+            n in 1usize..70,
+            k in 1usize..200,
+            lead_blocks in 0usize..3,
+            interior in any::<bool>(),
+            pidx in 0usize..4,
+            parallel in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            if !amx_dispatched("amx_kernel_matches_the_scalar_oracle") {
+                return Ok(());
+            }
+            // An interior window must be PK-aligned in width; the final
+            // window may be ragged (its rounded tail is zero padding).
+            let kb = if interior { k.next_multiple_of(PK) } else { k };
+            let h0 = lead_blocks * 2 * PK;
+            let k_full = h0 + kb + if interior { 3 * PK + 5 } else { 0 };
+            let a = i8_stream(seed, m * k_full);
+            let b = i8_stream(seed ^ 0x9e37, n * k_full);
+            let kp = padded_depth(k_full);
+            let mut apack = Vec::new();
+            let mut bpack = Vec::new();
+            pack_panels_i16(&mut apack, &a, k_full, m, padded_a_rows(m), k_full, kp);
+            pack_panels_i16(&mut bpack, &b, k_full, n, padded_b_cols(n), k_full, kp);
+            let p = [256u64, 255, 253, 251][pidx];
+            let mut c = vec![0i32; m * n];
+            let mut u = vec![0u8; m * n];
+            Int8Backend.gemm_reduce(
+                m, n, kb, &apack, &bpack, kp, h0, &mut c, &mut u, p, pinv(p), None, parallel,
+            );
+            let dots = window_dots(&a, &b, m, n, k_full, h0, kb);
+            let want_c: Vec<i32> = dots.iter().map(|&d| d as i32).collect();
+            let want_u: Vec<u8> = dots.iter().map(|&d| d.rem_euclid(p as i64) as u8).collect();
+            prop_assert_eq!(&c, &want_c, "INT32 plane, {}x{}x{} at {}", m, n, kb, h0);
+            prop_assert_eq!(&u, &want_u, "residues, p={}", p);
+        }
+    }
+
+    /// `gemm_accumulate` over `k > k_block_max` on the AMX kernel: the
+    /// residues of the two depth blocks, summed and reduced once, equal
+    /// the exact product mod `p`.
+    #[test]
+    fn amx_kernel_accumulates_past_k_block_max() {
+        if !amx_dispatched("amx_kernel_accumulates_past_k_block_max") {
+            return;
+        }
+        let p = 251u64;
+        let k_blk = Int8Backend.k_block_max(256);
+        for (m, n, parallel) in [(3usize, 5usize, false), (19, 17, true)] {
+            let k = k_blk + 77;
+            let a = i8_stream(m as u64, m * k);
+            let b = i8_stream(n as u64 + 100, n * k);
+            let kp = padded_depth(k);
+            let mut apack = Vec::new();
+            let mut bpack = Vec::new();
+            pack_panels_i16(&mut apack, &a, k, m, padded_a_rows(m), k, kp);
+            pack_panels_i16(&mut bpack, &b, k, n, padded_b_cols(n), k, kp);
+            let mut c = vec![0i32; m * n];
+            let mut racc = vec![0i32; m * n];
+            for h0 in (0..k).step_by(k_blk) {
+                let kb = k_blk.min(k - h0);
+                Int8Backend.gemm_accumulate(
+                    m,
+                    n,
+                    kb,
+                    &apack,
+                    &bpack,
+                    kp,
+                    h0,
+                    &mut c,
+                    &mut racc,
+                    p,
+                    pinv(p),
+                    None,
+                    parallel,
+                );
+            }
+            let want: Vec<i64> = window_dots(&a, &b, m, n, k, 0, k)
+                .iter()
+                .map(|d| d.rem_euclid(p as i64))
+                .collect();
+            let got: Vec<i64> = racc
+                .iter()
+                .map(|&r| (r as i64).rem_euclid(p as i64))
+                .collect();
+            assert_eq!(got, want, "{m}x{n}x{k} parallel={parallel}");
         }
     }
 

@@ -699,14 +699,26 @@ mod tests {
             let seen = Mutex::new(Vec::new());
             let jobs: Vec<usize> = (0..64).collect();
             jobs.into_par_iter().for_each(|_| {
-                if let Some(idx) = super::current_worker_index() {
-                    assert!(idx < 4);
-                    seen.lock().unwrap().push(idx);
+                match super::current_worker_index() {
+                    Some(idx) => {
+                        assert!(idx < 4);
+                        seen.lock().unwrap().push(idx);
+                    }
+                    None => {
+                        // The submitting thread helps. Hold it until a pool
+                        // worker has run an item, or it may finish all 64
+                        // before the workers wake.
+                        let t0 = std::time::Instant::now();
+                        while seen.lock().unwrap().is_empty()
+                            && t0.elapsed() < std::time::Duration::from_secs(10)
+                        {
+                            std::thread::yield_now();
+                        }
+                    }
                 }
-                std::thread::yield_now();
             });
-            // The submitting thread helps, so not every item reports an
-            // index, but pool workers must have executed some of the 64.
+            // Not every item reports an index, but pool workers must have
+            // executed some of the 64.
             assert!(!seen.lock().unwrap().is_empty());
         });
         assert_eq!(super::current_worker_index(), None);

@@ -322,3 +322,96 @@ fn prepared_operands_never_cross_backends() {
     let pa_fma = fma.try_prepare_a(&a).expect("fma prepare");
     assert_eq!(fma.execute_prepared(&pa_fma, &pb_fma), fma.dgemm(&a, &b));
 }
+
+/// FNV-1a over the bits of `Ozaki2` outputs: f64 and f32, fast and
+/// accurate modes, on shapes off every tile boundary, one of them deeper
+/// than the AMX kernel's 1024-deep narrowing window.
+fn kernel_outputs_digest() -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bits: u64| {
+        for byte in bits.to_le_bytes() {
+            h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (m, k, n) in [(70usize, 131usize, 45usize), (20, 1100, 18)] {
+        let a = phi_matrix_f64(m, k, 0.5, 91, 0);
+        let b = phi_matrix_f64(k, n, 0.5, 92, 1);
+        for mode in [Mode::Fast, Mode::Accurate] {
+            Ozaki2::new(12, mode)
+                .dgemm(&a, &b)
+                .iter()
+                .for_each(|x| eat(x.to_bits()));
+        }
+    }
+    let af = phi_matrix_f32(40, 77, 0.5, 93, 0);
+    let bf = phi_matrix_f32(77, 33, 0.5, 94, 1);
+    for mode in [Mode::Fast, Mode::Accurate] {
+        Ozaki2::new(8, mode)
+            .sgemm(&af, &bf)
+            .iter()
+            .for_each(|x| eat(x.to_bits() as u64));
+    }
+    h
+}
+
+/// Prints the dispatched INT8 kernel and [`kernel_outputs_digest`]; the
+/// cross-kernel test below runs it in child processes under each
+/// `OZAKI_FORCE_BACKEND` kernel value.
+#[test]
+fn kernel_digest_probe() {
+    println!(
+        "kernel-digest {} {:016x}",
+        gemm_engine::microkernel_name(),
+        kernel_outputs_digest()
+    );
+}
+
+/// Run [`kernel_digest_probe`] in a child with `OZAKI_FORCE_BACKEND=force`
+/// and return its (kernel, digest) line.
+fn probe_kernel(force: &str) -> (String, String) {
+    let out = std::process::Command::new(std::env::current_exe().expect("test binary path"))
+        .args([
+            "--exact",
+            "kernel_digest_probe",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env("OZAKI_FORCE_BACKEND", force)
+        .env_remove("OZAKI_FORCE_SCALAR")
+        .output()
+        .expect("spawn the digest probe");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "probe under {force} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let line = stdout
+        .lines()
+        .find_map(|l| l.split_once("kernel-digest ").map(|(_, rest)| rest))
+        .unwrap_or_else(|| panic!("probe under {force} printed no digest:\n{stdout}"));
+    let (kernel, digest) = line.split_once(' ').expect("kernel and digest");
+    (kernel.to_string(), digest.to_string())
+}
+
+/// Default outputs are bit-identical whichever INT8 kernel runs the
+/// residue GEMMs: AMX-INT8 `tdpbssd`, AVX-512 VNNI `vpdpwssd`, or the
+/// scalar oracle. Hosts without AMX print a skip line for that leg.
+#[test]
+fn outputs_bit_identical_across_amx_vnni_and_scalar_kernels() {
+    let scalar = probe_kernel("scalar");
+    assert_eq!(scalar.0, "scalar");
+    let vector = probe_kernel("vnni");
+    assert_ne!(vector.0, "amx-int8", "vnni must cap below AMX");
+    assert_eq!(vector.1, scalar.1, "{} vs scalar", vector.0);
+    match gemm_engine::amx_status() {
+        Ok(()) => {
+            let amx = probe_kernel("amx");
+            assert_eq!(amx.0, "amx-int8");
+            assert_eq!(amx.1, scalar.1, "amx-int8 vs scalar");
+        }
+        Err(reason) => println!(
+            "SKIP AMX leg of outputs_bit_identical_across_amx_vnni_and_scalar_kernels: {reason}"
+        ),
+    }
+}

@@ -111,6 +111,47 @@ fn policy_off_is_silently_corrupted() {
     );
 }
 
+/// On the AMX-INT8 kernel the accumulator seam still sees every stripe:
+/// an armed `Acc` fault fires once on the `tdpbssd` output of a residue
+/// GEMM, is detected, and `RetryThenScalar` repairs the product
+/// bit-identically. (Fast mode: accurate mode's unprotected bound GEMM
+/// would absorb the one-shot fault first.) Hosts without the AMX kernel
+/// print a skip line.
+#[test]
+fn acc_fault_on_the_amx_kernel_is_repaired() {
+    let kernel = gemm_engine::microkernel_name();
+    if kernel != "amx-int8" {
+        println!("SKIP acc_fault_on_the_amx_kernel_is_repaired: microkernel is {kernel}");
+        return;
+    }
+    let _g = injector_lock();
+    // Off every tile edge: 16-row AMX tiles, 64-byte depth steps.
+    let (m, n, k) = (37usize, 29usize, 101usize);
+    let a = phi_matrix_f64(m, k, 0.5, 21, 0);
+    let b = phi_matrix_f64(k, n, 0.5, 21, 1);
+    let reference = Ozaki2::new(8, Mode::Fast)
+        .with_fault_policy(FaultPolicy::Off)
+        .gemm(GemmArgs::new(&a, &b))
+        .unwrap()
+        .c;
+    let emu = Ozaki2::new(8, Mode::Fast)
+        .with_fault_policy(FaultPolicy::RetryThenScalar { max_retries: 1 });
+    let before = faultinject::injected();
+    faultinject::arm_once(FaultSite::Acc);
+    let out = emu.gemm(GemmArgs::new(&a, &b)).unwrap();
+    let pending = faultinject::armed_pending();
+    faultinject::disarm();
+    assert!(!pending, "the armed Acc fault must fire");
+    assert!(faultinject::injected() > before);
+    let rep = out.report.fault.expect("active policy must report");
+    assert!(
+        rep.detected >= 1,
+        "low-byte Acc flips change a residue: {rep:?}"
+    );
+    assert_eq!(rep.unrecovered, 0, "{rep:?}");
+    assert_eq!(out.c, reference, "not repaired bit-identically");
+}
+
 /// A clean (fault-free) run under an active policy is bit-identical to
 /// the `Off` path, costs the same number of *main* INT8 GEMMs (checksum
 /// products are accounted separately), and reports a clean
