@@ -493,7 +493,9 @@ mod tests {
 
     fn prep(seed: u64) -> (Vec<f64>, Arc<PreparedOperand>) {
         let b = phi_matrix_f64(8, 6, 0.5, seed, 1);
-        let p = Ozaki2::new(8, Mode::Fast).prepare_b(&b);
+        let p = Ozaki2::new(8, Mode::Fast)
+            .prepare(OperandSide::B, &b)
+            .unwrap();
         (b.into_vec(), Arc::new(p))
     }
 
@@ -602,9 +604,15 @@ mod tests {
                 emu.backend(),
             )
         };
-        cache.insert(key_for(&int8), Arc::new(int8.prepare_b(&b)));
+        cache.insert(
+            key_for(&int8),
+            Arc::new(int8.prepare(OperandSide::B, &b).unwrap()),
+        );
         assert!(cache.get(&key_for(&fma)).is_none(), "cross-backend hit");
-        cache.insert(key_for(&fma), Arc::new(fma.try_prepare_b(&b).unwrap()));
+        cache.insert(
+            key_for(&fma),
+            Arc::new(fma.prepare(OperandSide::B, &b).unwrap()),
+        );
         let served = cache.get(&key_for(&fma)).expect("own-backend hit");
         assert_eq!(served.backend(), BackendKind::FmaBf16);
         assert_eq!(

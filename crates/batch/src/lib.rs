@@ -83,9 +83,6 @@ enum Side<'s> {
 
 /// One schedulable unit of work.
 struct Job<'s> {
-    m: usize,
-    k: usize,
-    n: usize,
     a: Side<'s>,
     b: Side<'s>,
     parallel: bool,
@@ -276,9 +273,6 @@ impl BatchedOzaki2 {
             .zip(errs.iter_mut())
             .enumerate()
             .map(|(i, (out, err))| Job {
-                m,
-                k,
-                n,
                 a: match &pa_shared {
                     Some(p) => Side::Prep(p.clone()),
                     None => Side::Raw(a.view(i)),
@@ -431,7 +425,8 @@ impl BatchedOzaki2 {
         if self.emu.mode() != Mode::Fast {
             let mut ws = self.pool.checkout();
             for ((a, b), out) in items.iter().zip(outs.iter_mut()) {
-                self.emu.try_dgemm_into_ws(a, b, out, &mut ws)?;
+                self.emu
+                    .gemm_into(GemmArgs::new(*a, *b).workspace(&mut ws), out.view_mut())?;
             }
             return Ok(());
         }
@@ -457,9 +452,6 @@ impl BatchedOzaki2 {
             let b_side = self.group_side(b, OperandSide::B, mult_b[&ident(b)], &mut prepared_b)?;
             let schedule = Schedule::choose_with(m, n, k, nmod, items.len(), workers);
             let job = Job {
-                m,
-                k,
-                n,
                 a: a_side,
                 b: b_side,
                 parallel: schedule.intra_parallel(),
@@ -512,10 +504,7 @@ impl BatchedOzaki2 {
         }
         // For side A the batch shape is (m, k); for side B it is (k, n) —
         // both match the prepare entry's logical orientation directly.
-        let prepared = Arc::new(match side {
-            OperandSide::A => self.emu.try_prepare_a_view(&view)?,
-            OperandSide::B => self.emu.try_prepare_b_view(&view)?,
-        });
+        let prepared = Arc::new(self.emu.prepare(side, view)?);
         self.cache.insert(key, prepared.clone());
         Ok(Some(prepared))
     }
@@ -544,10 +533,7 @@ impl BatchedOzaki2 {
         if !within_call && !self.cache.repeat_miss(&key) {
             return Ok(None);
         }
-        let prepared = Arc::new(match side {
-            OperandSide::A => self.emu.try_prepare_a_view(&view)?,
-            OperandSide::B => self.emu.try_prepare_b_view(&view)?,
-        });
+        let prepared = Arc::new(self.emu.prepare(side, view)?);
         self.cache.insert(key, prepared.clone());
         Ok(Some(prepared))
     }
@@ -585,10 +571,7 @@ impl BatchedOzaki2 {
         if multiplicity < 2 && !self.cache.repeat_miss(&key) {
             return Ok(Side::Raw(mat.view()));
         }
-        let prepared = Arc::new(match side {
-            OperandSide::A => self.emu.try_prepare_a(mat)?,
-            OperandSide::B => self.emu.try_prepare_b(mat)?,
-        });
+        let prepared = Arc::new(self.emu.prepare(side, mat)?);
         self.cache.insert(key, prepared.clone());
         local.insert(id, prepared.clone());
         Ok(Side::Prep(prepared))
@@ -621,16 +604,10 @@ impl BatchedOzaki2 {
             Side::Raw(v) => OperandInput::RawView(*v),
             Side::Prep(p) => OperandInput::Prepared(p),
         };
-        if let Err(e) = self.emu.try_execute_into_ws(
-            a_in,
-            b_in,
-            job.m,
-            job.k,
-            job.n,
-            &mut ws,
-            job.parallel,
-            job.out.as_mut_slice(),
-        ) {
+        if let Err(e) = self
+            .emu
+            .execute(a_in, b_in, &mut ws, job.parallel, job.out.as_mut_slice())
+        {
             *job.err = Some(e);
         }
     }
@@ -655,7 +632,7 @@ impl BatchedOzaki2 {
         let mut body = || -> Result<(), EmulationError> {
             let pb = match &b {
                 Some(p) => p.clone(),
-                None => Arc::new(self.emu.try_prepare_b_view(&b_raw)?),
+                None => Arc::new(self.emu.prepare(OperandSide::B, b_raw)?),
             };
             let a64: Vec<f64>;
             let a_in = match &a {
@@ -677,17 +654,14 @@ impl BatchedOzaki2 {
                             out
                         }
                     };
-                    OperandInput::Raw(&a64)
+                    OperandInput::RawView(MatView::col_major(&a64, m, k))
                 }
             };
             let mut c64 = vec![0f64; m * n];
             let mut ws = self.pool.checkout();
-            self.emu.try_execute_into_ws(
+            self.emu.execute(
                 a_in,
                 OperandInput::Prepared(&pb),
-                m,
-                k,
-                n,
                 &mut ws,
                 parallel,
                 &mut c64,

@@ -8,7 +8,7 @@
 use gemm_batch::{BatchedOzaki2, StridedBatchF32, StridedBatchF64};
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_dense::{MatF64, Matrix};
-use ozaki2::{Mode, Ozaki2};
+use ozaki2::{GemmArgs, Mode, Ozaki2};
 use proptest::prelude::*;
 
 /// Flatten `count` matrices into one strided buffer with `pad` unused
@@ -490,7 +490,8 @@ proptest! {
         // Grow one workspace through a clean run.
         {
             let mut ws = pool.checkout();
-            prop_assert_eq!(&emu.dgemm_ws(&a, &b, &mut ws), &want);
+            let c = emu.gemm(GemmArgs::new(&a, &b).workspace(&mut ws)).unwrap().c;
+            prop_assert_eq!(&c, &want);
         }
         let grown = pool.bytes();
         // Panic while holding the checked-out workspace: the guard's
@@ -498,7 +499,7 @@ proptest! {
         // its free-list MutexGuard release poisons the pool lock.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut ws = pool.checkout();
-            let _ = emu.dgemm_ws(&a, &b, &mut ws);
+            let _ = emu.gemm(GemmArgs::new(&a, &b).workspace(&mut ws));
             panic!("simulated batch-item failure");
         }));
         prop_assert!(result.is_err());
@@ -509,7 +510,8 @@ proptest! {
         for _ in 0..3 {
             let mut ws = pool.checkout();
             prop_assert_eq!(pool.created(), 1, "reuse, not re-create");
-            prop_assert_eq!(&emu.dgemm_ws(&a, &b, &mut ws), &want);
+            let c = emu.gemm(GemmArgs::new(&a, &b).workspace(&mut ws)).unwrap().c;
+            prop_assert_eq!(&c, &want);
             drop(ws);
             prop_assert_eq!(pool.bytes(), grown);
         }

@@ -32,7 +32,7 @@ fn main() {
         let plain = Ozaki2::new(nmod, Mode::Fast).dgemm(&a, &b);
         let t_plain = t0.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let dd = dgemm_dd(&a, &b, nmod, Mode::Fast);
+        let dd = dgemm_dd(&a, &b, nmod, Mode::Fast).expect("finite operands, N in range");
         let t_dd = t0.elapsed().as_secs_f64() * 1e3;
 
         let e_plain = max_rel_error_vs_dd(&plain, &oracle).max(1e-40);

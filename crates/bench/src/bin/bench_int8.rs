@@ -275,8 +275,8 @@ fn main() {
     let mut pws = Workspace::new();
     let mut report = None;
     let t_pipeline = time_best(reps, || {
-        let (_, rep) = emu.try_dgemm_with_report_ws(&pa, &pb, &mut pws).unwrap();
-        report = Some(rep);
+        let out = emu.gemm(GemmArgs::new(&pa, &pb).workspace(&mut pws));
+        report = Some(out.unwrap().report);
     });
     let report = report.expect("pipeline ran");
     let end_to_end_ms = t_pipeline * 1e3;
@@ -295,11 +295,15 @@ fn main() {
     for _ in 0..=reps {
         gemm_obs::set_enabled(false);
         let t0 = Instant::now();
-        let _ = emu.try_dgemm_with_report_ws(&pa, &pb, &mut pws).unwrap();
+        let _ = emu
+            .gemm(GemmArgs::new(&pa, &pb).workspace(&mut pws))
+            .unwrap();
         t_obs_off = t_obs_off.min(t0.elapsed().as_secs_f64());
         gemm_obs::set_enabled(true);
         let t0 = Instant::now();
-        let _ = emu.try_dgemm_with_report_ws(&pa, &pb, &mut pws).unwrap();
+        let _ = emu
+            .gemm(GemmArgs::new(&pa, &pb).workspace(&mut pws))
+            .unwrap();
         t_obs_on = t_obs_on.min(t0.elapsed().as_secs_f64());
     }
     gemm_obs::set_enabled(obs_was_enabled);
@@ -356,8 +360,11 @@ fn main() {
     for _ in 0..=reps {
         let t0 = Instant::now();
         let b_eff = bt.transpose();
-        emu.try_dgemm_into_ws(&pa, &b_eff, &mut c_mat, &mut pws)
-            .expect("materialize path");
+        emu.gemm_into(
+            GemmArgs::new(&pa, &b_eff).workspace(&mut pws),
+            c_mat.view_mut(),
+        )
+        .expect("materialize path");
         t_blas_mat = t_blas_mat.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         emu.gemm_into(
@@ -389,7 +396,7 @@ fn main() {
         let mut c_b = MatF64::zeros(pn, pn);
         let t_b = time_best(reps, || {
             emu_b
-                .try_dgemm_into_ws(&pa, &pb, &mut c_b, &mut ws_b)
+                .gemm_into(GemmArgs::new(&pa, &pb).workspace(&mut ws_b), c_b.view_mut())
                 .expect("backend run");
         });
         backend_rows.push((kind.as_str(), n_b, t_b));
@@ -406,10 +413,10 @@ fn main() {
     let mut ws_fi = Workspace::new();
     let mut fi_report = None;
     let t_fi = time_best(reps, || {
-        let (_, rep) = emu_fi
-            .try_dgemm_with_report_ws(&pa, &pb, &mut ws_fi)
+        let out = emu_fi
+            .gemm(GemmArgs::new(&pa, &pb).workspace(&mut ws_fi))
             .expect("fast-inference run");
-        fi_report = Some(rep);
+        fi_report = Some(out.report);
     });
     let fi_report = fi_report.expect("fast-inference ran");
 

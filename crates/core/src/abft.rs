@@ -44,8 +44,12 @@
 
 use crate::consts::Constants;
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
+use crate::element::Element;
+use crate::facade::vectors_source;
 use crate::modred::finalize_block_residues;
 use crate::pipeline::PhaseTimes;
+use crate::prepared::OperandSide;
+use gemm_dense::MatView;
 use gemm_engine::faultinject::{self, FaultSite};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, ResidueBackend, NR};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -206,7 +210,27 @@ pub(crate) enum PanelsRef<'a> {
     },
 }
 
-impl PanelsRef<'_> {
+impl<'a> PanelsRef<'a> {
+    /// Per-call panels of one raw operand view, repackable from the view
+    /// and its scale exponents.
+    pub(crate) fn raw<T: Element>(
+        panels: &'a mut [i16],
+        v: &MatView<'a, T>,
+        side: OperandSide,
+        exps: &'a [i32],
+    ) -> Self {
+        let (vecs, vecs_pad) = match side {
+            OperandSide::A => (v.rows(), padded_a_rows(v.rows())),
+            OperandSide::B => (v.cols(), padded_b_cols(v.cols())),
+        };
+        PanelsRef::Repackable {
+            panels,
+            src: vectors_source(v, side == OperandSide::A, exps),
+            vecs,
+            vecs_pad,
+        }
+    }
+
     pub(crate) fn panels(&self) -> &[i16] {
         match self {
             PanelsRef::Fixed(p) => p,
@@ -539,8 +563,9 @@ fn plane_gemm(
 // The fault-tolerant executor
 // ---------------------------------------------------------------------------
 
-/// Scratch bundle for [`execute_panels_ft`] (the non-panel slices of
-/// [`crate::pipeline::WsBuffers`]).
+/// The back half's workspace scratch (the non-panel, non-staging slices
+/// of [`crate::pipeline::WsBuffers`]): residue planes, INT32 product,
+/// block accumulator, and the ABFT buffers [`execute_panels_ft`] uses.
 pub(crate) struct FtScratch<'w> {
     pub u: &'w mut [u8],
     pub c32: &'w mut [i32],
@@ -553,9 +578,9 @@ pub(crate) struct FtScratch<'w> {
 }
 
 /// Algorithm 1 lines 6–12 under an active [`FaultPolicy`]: the
-/// fault-tolerant sibling of [`crate::pipeline::execute_panels`]. Per
-/// plane: captures the checksum vectors and both reference products
-/// (`A'_s · chk_b` for the row axis, `chk_a · B'_s` for the column
+/// fault-tolerant sibling of [`crate::pipeline::residue_stage`] plus the
+/// fold. Per plane: captures the checksum vectors and both reference
+/// products (`A'_s · chk_b` for the row axis, `chk_a · B'_s` for the column
 /// axis) from the pristine panels, runs the plane's GEMM, verifies, and
 /// recovers per the policy; then folds. Returns
 /// `(int8_gemm_calls, FaultReport)` — recovery re-runs and checksum

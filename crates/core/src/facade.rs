@@ -7,8 +7,8 @@
 //!   per output policy, generic over the sealed [`Element`] precisions
 //!   (`f64`, `f32`). Operands are [`MatView`]s: any layout, leading
 //!   dimension, or transpose feeds the fused trunc+convert sweep with
-//!   **zero copies** — the historical `dgemm`/`sgemm`/`*_blas` entries
-//!   are thin wrappers over this body and stay bit-identical.
+//!   **zero copies**, and `alpha`/`beta`/`trans` follow BLAS semantics.
+//!   [`Ozaki2::dgemm`] / [`Ozaki2::sgemm`] are `gemm` on owned matrices.
 //! * [`GemmArgs`] — the argument bundle (`trans`/`alpha`/`beta`, optional
 //!   reusable [`Workspace`], optional [`EmulationReport`] sink), built
 //!   fluently.
@@ -18,21 +18,20 @@
 //!   [`EmulationError::AccuracyUnreachable`] when no supported `N`
 //!   reaches the target).
 
-use crate::abft::{execute_panels_ft, FaultPolicy, FaultReport, FtScratch, PanelsRef};
+use crate::abft::{FaultPolicy, FaultReport, PanelsRef};
 use crate::blas::GemmOp;
 use crate::consts::{constants_for, Constants};
-use crate::convert::{trunc_convert_pack_panels, TruncSource};
+use crate::convert::TruncSource;
 use crate::element::Element;
 use crate::moduli::backend_n_max;
 use crate::nselect;
 use crate::pipeline::{
-    execute_panels, EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, WsBuffers,
+    front_end, make_report, obs_record_report, run_panels, EmulationError, EmulationReport, Mode,
+    Ozaki2, PhaseTimes, Workspace, WsBuffers,
 };
 use crate::prepared::OperandSide;
-use crate::scale::{accurate_scale_view, fast_scale_a_view, fast_scale_b_view};
 use gemm_dense::{Layout, MatView, MatViewMut, Matrix};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind};
-use gemm_obs::TimeShare;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -225,49 +224,148 @@ impl Ozaki2 {
     /// any leading dimension): `C ← alpha · op(A) · op(B) + beta · C`.
     /// With a reused [`GemmArgs::workspace`] this is the fully
     /// allocation-free steady state.
+    ///
+    /// BLAS semantics for the scalars: with `alpha = 0` the product is
+    /// skipped and `A`, `B` are neither read nor validated (`C ← beta·C`),
+    /// and with `beta = 0` the prior contents of `C` are never read, so a
+    /// NaN there cannot leak into the result.
+    ///
+    /// The fold writes straight into `out` on the plain contiguous f64
+    /// path; otherwise it lands in the workspace staging buffer and the
+    /// `alpha`/`beta` epilogue (or the exact f32 narrowing) runs per
+    /// column.
     pub fn gemm_into<T: Element>(
         &self,
         args: GemmArgs<'_, T>,
-        out: MatViewMut<'_, T>,
+        mut out: MatViewMut<'_, T>,
     ) -> Result<EmulationReport, EmulationError> {
         let (a, b) = args.effective();
         let GemmArgs {
             alpha,
             beta,
             workspace,
-            report,
+            report: sink,
             fault_policy,
             backend,
             assume_finite,
             ..
         } = args;
-        let mut local;
-        let ws: &mut Workspace = match workspace {
-            Some(w) => w,
-            None => {
-                local = Workspace::new();
-                &mut local
-            }
-        };
-        let rep = emulate_view_into(
-            a,
-            b,
-            self.n_moduli(),
-            self.mode(),
-            backend.unwrap_or(self.backend()),
-            ws,
-            true,
-            alpha,
-            beta,
-            out,
-            true,
-            !assume_finite,
-            fault_policy.unwrap_or(self.fault_policy()),
-        )?;
-        if let Some(sink) = report {
-            *sink = Some(rep.clone());
+        // The pool-resolution seam: `backend` picks the moduli pool
+        // (accuracy semantics); `OZAKI_FORCE_BACKEND` may swap only the
+        // executing engine, which computes the same exact integers over
+        // either pool.
+        let backend = backend.unwrap_or(self.backend());
+        let policy = fault_policy.unwrap_or(self.fault_policy());
+        let n_max = backend_n_max(backend, !T::IS_F64);
+        if self.n_moduli() > n_max {
+            return Err(EmulationError::UnsupportedN {
+                n: self.n_moduli(),
+                max: n_max,
+            });
         }
-        Ok(rep)
+        let (m, k) = a.shape();
+        let n = b.cols();
+        if b.rows() != k || out.shape() != (m, n) {
+            return Err(EmulationError::ShapeMismatch);
+        }
+        let skip_product = alpha == T::ZERO;
+        if !skip_product && !assume_finite {
+            validate_view(&a, OperandSide::A)?;
+            validate_view(&b, OperandSide::B)?;
+        }
+        let mut phases = PhaseTimes::default();
+        let report = if skip_product || m == 0 || n == 0 || k == 0 {
+            for j in 0..n {
+                for c in out.col_mut(j) {
+                    *c = if beta == T::ZERO { T::ZERO } else { beta * *c };
+                }
+            }
+            let fault = policy.is_active().then(FaultReport::default);
+            make_report(self, backend, (m, n, k), phases, 0, fault)
+        } else {
+            let mut local;
+            let ws: &mut Workspace = match workspace {
+                Some(w) => w,
+                None => {
+                    local = Workspace::new();
+                    &mut local
+                }
+            };
+            let consts: &Constants = constants_for(backend, self.n_moduli());
+            let nmod = consts.n;
+            let (kp, m_pad, n_pad) = (padded_depth(k), padded_a_rows(m), padded_b_cols(n));
+            let obs_start = gemm_obs::now_ns();
+            ws.reserve(m, n, k, nmod);
+            let direct_fold =
+                alpha == T::ONE && beta == T::ZERO && out.is_contiguous_col_major() && T::IS_F64;
+            if !direct_fold {
+                ws.reserve_stage(m * n);
+            }
+            if policy.is_active() {
+                ws.reserve_abft(m, n, k, nmod);
+            }
+            let WsBuffers {
+                a16,
+                b16,
+                cstage,
+                scratch,
+            } = ws.buffers();
+            let a16 = &mut a16[..nmod * m_pad * kp];
+            let b16 = &mut b16[..nmod * n_pad * kp];
+
+            // ---- Lines 1–5: scale, then the fused sweep from the views ---
+            let (exps_a, exps_b, scale_calls) =
+                front_end(&a, &b, self.mode(), consts, true, a16, b16, &mut phases);
+
+            // ---- Lines 6–12 over the packed panels -----------------------
+            let dst_direct = if direct_fold {
+                out.as_col_major_slice_mut().and_then(T::as_f64_slice_mut)
+            } else {
+                None
+            };
+            let staged = dst_direct.is_none();
+            let dst: &mut [f64] = match dst_direct {
+                Some(slice) => &mut slice[..m * n],
+                None => &mut cstage[..m * n],
+            };
+            let (calls, fault) = run_panels(
+                m,
+                n,
+                k,
+                consts,
+                T::IS_F64,
+                backend.engine().backend(),
+                PanelsRef::raw(a16, &a, OperandSide::A, &exps_a),
+                PanelsRef::raw(b16, &b, OperandSide::B, &exps_b),
+                &exps_a,
+                &exps_b,
+                scratch,
+                true,
+                policy,
+                dst,
+                &mut phases,
+            );
+            if staged {
+                // Narrow / scale / scatter into the output view. Counted as
+                // fold: it is the tail of lines 8–12 for these outputs.
+                let t0 = Instant::now();
+                for j in 0..n {
+                    let stage_col = &cstage[j * m..(j + 1) * m];
+                    for (c, &p) in out.col_mut(j).iter_mut().zip(stage_col) {
+                        let p = alpha * T::from_f64(p);
+                        *c = if beta == T::ZERO { p } else { p + beta * *c };
+                    }
+                }
+                phases.fold += t0.elapsed();
+            }
+            let report = make_report(self, backend, (m, n, k), phases, scale_calls + calls, fault);
+            obs_record_report(obs_start, &report);
+            report
+        };
+        if let Some(sink) = sink {
+            *sink = Some(report.clone());
+        }
+        Ok(report)
     }
 }
 
@@ -335,262 +433,29 @@ pub(crate) fn validate_view<T: Element>(
     Ok(())
 }
 
-/// The canonical Algorithm-1 body over borrowed strided views — **every**
-/// public GEMM entry (named wrappers, BLAS surface, plans, the batched
-/// runtime's raw sides) funnels here or into the same
-/// [`execute_panels`] back half, which is what keeps the whole surface
-/// bit-identical.
+/// Estimated arithmetic intensity of the emulated product's engine phase:
+/// INT8 multiply-add operations per byte of memory traffic (packed i16
+/// panels streamed per GEMM, INT32 product and UINT8 residue planes
+/// written, the folded f64 output).
 ///
-/// `checked` gates the moduli-range check and `validate` the finiteness
-/// validation; wrappers that validated already pass `false`. Shape
-/// consistency is always enforced. The fold writes straight into `out`
-/// on the plain contiguous f64 path; otherwise it lands in the workspace
-/// staging buffer and the `alpha`/`beta` epilogue (or the exact f32
-/// narrowing) runs per column. An active `policy` routes the back half
-/// through the ABFT executor ([`execute_panels_ft`]);
-/// [`FaultPolicy::Off`] runs the historical path byte-for-byte.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emulate_view_into<T: Element>(
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    n_moduli: usize,
-    mode: Mode,
-    backend: BackendKind,
-    ws: &mut Workspace,
-    parallel: bool,
-    alpha: T,
-    beta: T,
-    mut out: MatViewMut<'_, T>,
-    checked: bool,
-    validate: bool,
-    policy: FaultPolicy,
-) -> Result<EmulationReport, EmulationError> {
-    let n_max = backend_n_max(backend, !T::IS_F64);
-    if checked && n_moduli > n_max {
-        return Err(EmulationError::UnsupportedN {
-            n: n_moduli,
-            max: n_max,
-        });
-    }
-    let (m, k) = a.shape();
-    let n = b.cols();
-    if b.rows() != k || out.shape() != (m, n) {
-        return Err(EmulationError::ShapeMismatch);
-    }
-    if validate {
-        validate_view(&a, OperandSide::A)?;
-        validate_view(&b, OperandSide::B)?;
-    }
-    // The pool-resolution seam: `backend` picks the moduli pool (accuracy
-    // semantics); `OZAKI_FORCE_BACKEND` may swap only the executing
-    // engine, which computes the same exact integers over either pool.
-    let consts: &Constants = constants_for(backend, n_moduli);
-    let engine_kind = backend.engine();
-    let engine = engine_kind.backend();
-    let predicted_error = nselect::predicted_error_for(backend, n_moduli, k);
-    let nmod = consts.n;
-    let plain = alpha == T::ONE && beta == T::ZERO;
-    let mut phases = PhaseTimes::default();
-    let mut gemm_calls = 0usize;
-
+/// High intensity means one product saturates the engine's compute with
+/// intra-GEMM stripe parallelism; low intensity means a single item is
+/// memory/latency-bound and a batched runtime is better off running whole
+/// items concurrently (inter-GEMM parallelism) — the crossover the
+/// `gemm_batch` scheduler picks from, and the same classifier
+/// `gemm_serve::Server` applies at admission to decide whether a request
+/// waits in the coalesce buffer or dispatches solo.
+pub fn arithmetic_intensity(m: usize, n: usize, k: usize, n_moduli: usize) -> f64 {
     if m == 0 || n == 0 || k == 0 {
-        for j in 0..n {
-            for c in out.col_mut(j) {
-                *c = if plain {
-                    T::ZERO
-                } else {
-                    alpha * T::ZERO + beta * *c
-                };
-            }
-        }
-        return Ok(EmulationReport {
-            shape: (m, n, k),
-            n_moduli: nmod,
-            mode,
-            backend: engine_kind,
-            predicted_error,
-            phases,
-            int8_gemm_calls: 0,
-            fault: policy.is_active().then(FaultReport::default),
-        });
+        return 0.0;
     }
-
-    // ---- Line 1: scale vectors ------------------------------------------
-    let obs_start = gemm_obs::now_ns();
-    let t0 = Instant::now();
-    let (exps_a, exps_b) = match mode {
-        Mode::Fast => (
-            fast_scale_a_view(&a, consts.p_fast),
-            fast_scale_b_view(&b, consts.p_fast),
-        ),
-        Mode::Accurate => {
-            gemm_calls += 1; // the Ā·B̄ estimation GEMM
-            accurate_scale_view(&a, &b, consts.p_accu)
-        }
-    };
-    phases.scale = t0.elapsed();
-
-    // ---- Lines 2–5: fused trunc+convert straight from the views ---------
-    let t0 = Instant::now();
-    ws.reserve(m, n, k, nmod);
-    let direct_fold = plain && out.is_contiguous_col_major() && T::IS_F64;
-    if !direct_fold {
-        ws.reserve_stage(m * n);
-    }
-    if policy.is_active() {
-        ws.reserve_abft(m, n, k, nmod);
-    }
-    let WsBuffers {
-        a16,
-        b16,
-        u,
-        c32,
-        racc,
-        cstage,
-        chk_a16,
-        chk_b16,
-        uchk,
-        chk_sum,
-        vsum,
-    } = ws.buffers();
-    let kp = padded_depth(k);
-    let m_pad = padded_a_rows(m);
-    let n_pad = padded_b_cols(n);
-    let timing = TimeShare::new();
-    let a16 = &mut a16[..nmod * m_pad * kp];
-    trunc_convert_pack_panels(
-        vectors_source(&a, true, &exps_a),
-        m,
-        m_pad,
-        k,
-        kp,
-        consts,
-        T::IS_F64,
-        parallel,
-        a16,
-        Some(&timing),
-    );
-    let b16 = &mut b16[..nmod * n_pad * kp];
-    trunc_convert_pack_panels(
-        vectors_source(&b, false, &exps_b),
-        n,
-        n_pad,
-        k,
-        kp,
-        consts,
-        T::IS_F64,
-        parallel,
-        b16,
-        Some(&timing),
-    );
-    let sweep = t0.elapsed();
-    phases.trunc = sweep.mul_f64(timing.fraction());
-    phases.convert = sweep.saturating_sub(phases.trunc);
-
-    // ---- Lines 6–12 over the packed panels -------------------------------
-    let dst_direct = if direct_fold {
-        out.as_col_major_slice_mut().and_then(T::as_f64_slice_mut)
-    } else {
-        None
-    };
-    let staged = dst_direct.is_none();
-    let dst: &mut [f64] = match dst_direct {
-        Some(slice) => &mut slice[..m * n],
-        None => &mut cstage[..m * n],
-    };
-    let mut fault: Option<FaultReport> = None;
-    if policy.is_active() {
-        let (calls, frep) = execute_panels_ft(
-            m,
-            n,
-            k,
-            consts,
-            T::IS_F64,
-            engine,
-            PanelsRef::Repackable {
-                panels: a16,
-                src: vectors_source(&a, true, &exps_a),
-                vecs: m,
-                vecs_pad: m_pad,
-            },
-            PanelsRef::Repackable {
-                panels: b16,
-                src: vectors_source(&b, false, &exps_b),
-                vecs: n,
-                vecs_pad: n_pad,
-            },
-            &exps_a,
-            &exps_b,
-            FtScratch {
-                u,
-                c32,
-                racc,
-                chk_a16,
-                chk_b16,
-                uchk,
-                chk_sum,
-                vsum,
-            },
-            parallel,
-            policy,
-            dst,
-            &mut phases,
-        );
-        gemm_calls += calls;
-        fault = Some(frep);
-    } else {
-        gemm_calls += execute_panels(
-            m,
-            n,
-            k,
-            consts,
-            T::IS_F64,
-            engine,
-            a16,
-            b16,
-            &exps_a,
-            &exps_b,
-            u,
-            c32,
-            racc,
-            parallel,
-            dst,
-            &mut phases,
-        );
-    }
-    if staged {
-        // Narrow / scale / scatter into the output view. Counted as fold:
-        // it is the tail of lines 8–12 for these output shapes.
-        let t0 = Instant::now();
-        let stage = &cstage[..m * n];
-        for j in 0..n {
-            let col = out.col_mut(j);
-            let stage_col = &stage[j * m..(j + 1) * m];
-            if plain {
-                for (c, &p) in col.iter_mut().zip(stage_col) {
-                    *c = T::from_f64(p);
-                }
-            } else {
-                for (c, &p) in col.iter_mut().zip(stage_col) {
-                    *c = alpha * T::from_f64(p) + beta * *c;
-                }
-            }
-        }
-        phases.fold += t0.elapsed();
-    }
-
-    let report = EmulationReport {
-        shape: (m, n, k),
-        n_moduli: nmod,
-        mode,
-        backend: engine_kind,
-        predicted_error,
-        phases,
-        int8_gemm_calls: gemm_calls,
-        fault,
-    };
-    crate::pipeline::obs_record_report(obs_start, &report);
-    Ok(report)
+    let nmod = n_moduli as f64;
+    let (mf, nf, kf) = (m as f64, n as f64, k as f64);
+    let ops = 2.0 * nmod * mf * nf * kf;
+    let bytes = 2.0 * nmod * (mf * kf + kf * nf) // i16 panels, read once per GEMM
+        + nmod * (4.0 + 1.0) * mf * nf // c32 write + u8 residue plane
+        + 8.0 * mf * nf; // folded f64 output
+    ops / bytes
 }
 
 // ---------------------------------------------------------------------------
@@ -753,8 +618,8 @@ impl Ozaki2Builder {
     }
 
     /// [`Ozaki2Builder::build`] with the inner dimension supplied at call
-    /// time — the plan/call-time resolution for callers that learn `k`
-    /// late (e.g. right before a [`crate::plan::GemmPlan`] is laid out).
+    /// time — for callers that learn `k` late (e.g. right before the
+    /// first product of a workspace-reusing loop).
     pub fn build_for_k(self, k: usize) -> Result<Ozaki2, EmulationError> {
         self.k(k).build()
     }
@@ -974,6 +839,122 @@ mod tests {
             .unwrap();
         let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
         assert!(max_relative_error(&out.c, &exact) < 1e-12);
+    }
+
+    // Workspace reuse: repeated calls through one `Workspace` match
+    // one-shot calls bitwise and stop allocating after the first.
+
+    /// `gemm` with a reused workspace, unwrapped.
+    fn gemm_ws(emu: &Ozaki2, a: &MatF64, b: &MatF64, ws: &mut Workspace) -> MatF64 {
+        emu.gemm(GemmArgs::new(a, b).workspace(ws)).unwrap().c
+    }
+
+    #[test]
+    fn plan_matches_one_shot_bitwise() {
+        let (m, n, k) = (24usize, 20, 36);
+        let emu = Ozaki2::new(13, Mode::Fast);
+        let mut ws = Workspace::new();
+        for seed in 0..4u64 {
+            let a = phi_matrix_f64(m, k, 0.7, seed, 0);
+            let b = phi_matrix_f64(k, n, 0.7, seed, 1);
+            assert_eq!(
+                gemm_ws(&emu, &a, &b, &mut ws),
+                emu.dgemm(&a, &b),
+                "seed={seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_matches_accurate_mode() {
+        let (m, n, k) = (16usize, 16, 24);
+        let emu = Ozaki2::new(10, Mode::Accurate);
+        let a = phi_matrix_f64(m, k, 2.0, 9, 0);
+        let b = phi_matrix_f64(k, n, 2.0, 9, 1);
+        let got = gemm_ws(&emu, &a, &b, &mut Workspace::new());
+        assert_eq!(got, emu.dgemm(&a, &b));
+    }
+
+    #[test]
+    fn workspace_reaches_steady_state() {
+        let (m, n, k) = (32usize, 24, 40);
+        let nmod = 15usize;
+        let emu = Ozaki2::new(nmod, Mode::Fast);
+        let mut ws = Workspace::new();
+        let a = phi_matrix_f64(m, k, 0.5, 3, 0);
+        let b = phi_matrix_f64(k, n, 0.5, 3, 1);
+        let _ = gemm_ws(&emu, &a, &b, &mut ws);
+        let after_first = ws.bytes();
+        // At least the dominant buffers must be resident: the packed i16
+        // panel sets (one per modulus, padded), U planes (u8) and C32.
+        let floor = nmod * 2 * (m * k + k * n) + nmod * m * n + 4 * m * n;
+        assert!(
+            after_first >= floor,
+            "workspace too small: {after_first} < {floor}"
+        );
+        for _ in 0..3 {
+            let _ = gemm_ws(&emu, &a, &b, &mut ws);
+            assert_eq!(ws.bytes(), after_first, "steady state must not allocate");
+        }
+    }
+
+    #[test]
+    fn execute_into_bit_identical_and_alloc_free() {
+        let (m, n, k) = (20usize, 16, 28);
+        let emu = Ozaki2::new(12, Mode::Fast);
+        let mut ws = Workspace::new();
+        let mut out = MatF64::zeros(m, n);
+        let a = phi_matrix_f64(m, k, 0.6, 1, 0);
+        let b = phi_matrix_f64(k, n, 0.6, 1, 1);
+        emu.gemm_into(GemmArgs::new(&a, &b).workspace(&mut ws), out.view_mut())
+            .unwrap();
+        assert_eq!(out, emu.dgemm(&a, &b));
+        let steady = ws.bytes();
+        for seed in 2..5u64 {
+            let a = phi_matrix_f64(m, k, 0.6, seed, 0);
+            let b = phi_matrix_f64(k, n, 0.6, seed, 1);
+            emu.gemm_into(GemmArgs::new(&a, &b).workspace(&mut ws), out.view_mut())
+                .unwrap();
+            assert_eq!(out, emu.dgemm(&a, &b), "seed={seed}");
+            assert_eq!(ws.bytes(), steady, "steady state must not allocate");
+        }
+    }
+
+    #[test]
+    fn execute_into_rejects_wrong_output_shape() {
+        let emu = Ozaki2::new(8, Mode::Fast);
+        let a = MatF64::zeros(8, 8);
+        let b = MatF64::zeros(8, 8);
+        let mut c = MatF64::zeros(8, 7);
+        assert_eq!(
+            emu.gemm_into(GemmArgs::new(&a, &b), c.view_mut())
+                .unwrap_err(),
+            EmulationError::ShapeMismatch
+        );
+    }
+
+    #[test]
+    fn plan_rejects_wrong_shape() {
+        // An A that does not match the 8 x 8 output it is written into.
+        let emu = Ozaki2::new(8, Mode::Fast);
+        let a = MatF64::zeros(9, 8);
+        let b = MatF64::zeros(8, 8);
+        let mut c = MatF64::zeros(8, 8);
+        assert_eq!(
+            emu.gemm_into(GemmArgs::new(&a, &b), c.view_mut())
+                .unwrap_err(),
+            EmulationError::ShapeMismatch
+        );
+    }
+
+    #[test]
+    fn intensity_orders_small_below_large() {
+        // The scheduler's crossover signal: small service-sized items sit
+        // well below large compute-bound ones.
+        let small = arithmetic_intensity(64, 64, 64, 15);
+        let large = arithmetic_intensity(1024, 1024, 1024, 15);
+        assert!(small > 0.0 && large > 10.0 * small, "{small} vs {large}");
+        assert_eq!(arithmetic_intensity(0, 4, 4, 15), 0.0);
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!    with a weight split engineered so the hot sum is exact in f64, then
 //!    applies the exact inverse scaling.
 //!
-//! Entry point: [`Ozaki2`] (see the crate examples and `examples/` at the
-//! workspace root).
+//! Entry point: [`Ozaki2`], with one public entry per verb —
+//! [`Ozaki2::gemm`] / [`Ozaki2::gemm_into`] (options on [`GemmArgs`]),
+//! [`Ozaki2::prepare`] and [`Ozaki2::execute`] — plus the `dgemm` /
+//! `sgemm` owned-matrix conveniences (see `examples/` at the workspace
+//! root).
 //!
 //! ```
 //! use ozaki2::{Mode, Ozaki2};
@@ -42,23 +45,22 @@ pub mod modred;
 pub mod moduli;
 pub mod nselect;
 pub mod pipeline;
-pub mod plan;
 pub mod prepared;
 pub mod scale;
 
 pub use abft::{FaultEvent, FaultPolicy, FaultReport, RecoveryAction};
 pub use accumulate::{fold_kernel_name, fold_planes, fold_span, fold_span_scalar, FoldPrecision};
-pub use blas::{dgemm_emulated, GemmOp};
+pub use blas::GemmOp;
 pub use consts::{constants, constants_for, fma_constants, Constants};
 pub use convert::{
     convert_kernel_name, convert_pack_panels, residue_planes, trunc_convert_pack_panels, ElemSlice,
     TruncSource,
 };
 pub use element::Element;
-pub use facade::{Accuracy, GemmArgs, GemmOut, Ozaki2Builder};
+pub use facade::{arithmetic_intensity, Accuracy, GemmArgs, GemmOut, Ozaki2Builder};
 pub use gemm_engine::BackendKind;
 pub use gemm_obs::TimeShare;
-pub use mixed::{dgemm_dd, gemm_f32xf64, gemm_f64xf32};
+pub use mixed::dgemm_dd;
 pub use moduli::{
     backend_log2_p, backend_moduli, backend_n_max, backend_pool, fma_moduli, moduli, FMA_MODULI,
     MODULI, N_MAX, N_MAX_FMA, N_MAX_SGEMM,
@@ -70,7 +72,6 @@ pub use nselect::{
 pub use pipeline::{
     EmulationError, EmulationReport, Mode, Ozaki2, PhaseTimes, Workspace, K_BLOCK_MAX,
 };
-pub use plan::{arithmetic_intensity, GemmPlan};
 pub use prepared::{OperandInput, OperandSide, PreparedOperand};
 pub use scale::{
     fast_scale_a_view, fast_scale_b_view, fast_scale_cols_slice, fast_scale_rows_slice, pow2_split,

@@ -1,18 +1,28 @@
 //! Algorithm 1, end to end: the public emulation API.
 //!
 //! [`Ozaki2`] bundles the two user-visible knobs — the number of moduli `N`
-//! (accuracy) and the computing [`Mode`] (fast vs accurate scaling) — and
-//! exposes `dgemm` / `sgemm` plus `*_with_report` variants that return the
-//! per-phase wall-clock breakdown used to regenerate Figs. 6–7.
+//! (accuracy) and the computing [`Mode`] (fast vs accurate scaling) — with
+//! the ABFT fault policy and the residue backend. Its GEMM entries live in
+//! [`crate::facade`] (`gemm` / `gemm_into`) and [`crate::prepared`]
+//! (`prepare` / `execute`); `dgemm` / `sgemm` here are the panicking
+//! owned-matrix conveniences over `gemm`. The shared Algorithm-1 stages
+//! every entry runs ([`front_end`], [`residue_stage`], [`run_panels`])
+//! are defined at the bottom of this file.
 
-use crate::abft::{FaultPolicy, FaultReport};
+use crate::abft::{execute_panels_ft, FaultPolicy, FaultReport, FtScratch, PanelsRef};
 use crate::accumulate::{fold_planes, FoldPrecision};
 use crate::consts::Constants;
+use crate::convert::trunc_convert_pack_panels;
+use crate::element::Element;
+use crate::facade::{vectors_source, GemmArgs};
 use crate::modred::finalize_block_residues;
 use crate::moduli::{backend_n_max, N_MAX};
+use crate::nselect::predicted_error_for;
 use crate::prepared::OperandSide;
-use gemm_dense::{MatF32, MatF64, MatMulF32, MatMulF64, Matrix};
+use crate::scale::{accurate_scale_view, fast_scale_a_view, fast_scale_b_view};
+use gemm_dense::{MatF32, MatF64, MatMulF32, MatMulF64, MatView};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind, ResidueBackend};
+use gemm_obs::TimeShare;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -241,7 +251,9 @@ pub(crate) fn obs_record_report(call_start_ns: u64, report: &EmulationReport) {
     }
 }
 
-/// Metadata returned by the `*_with_report` entry points.
+/// Metadata returned by every GEMM entry ([`Ozaki2::gemm`],
+/// [`Ozaki2::gemm_into`], [`Ozaki2::execute`]) and captured by
+/// [`GemmArgs::report`].
 #[derive(Clone, Debug)]
 pub struct EmulationReport {
     /// Problem shape `(m, n, k)`.
@@ -316,22 +328,15 @@ pub struct Workspace {
 }
 
 /// Mutable borrows of every [`Workspace`] buffer at once, for the
-/// execution paths that juggle several of them simultaneously (the view
-/// facade, the mixed raw/prepared path, and the ABFT executor). The
-/// `chk_*` / `uchk` / `vsum` fields are empty unless
+/// execution paths that juggle several of them simultaneously: the two
+/// panel buffers, the fold staging buffer and the back half's
+/// [`FtScratch`]. The ABFT buffers in `scratch` are empty unless
 /// [`Workspace::reserve_abft`] ran.
 pub(crate) struct WsBuffers<'w> {
     pub a16: &'w mut [i16],
     pub b16: &'w mut [i16],
-    pub u: &'w mut [u8],
-    pub c32: &'w mut [i32],
-    pub racc: &'w mut [i32],
     pub cstage: &'w mut [f64],
-    pub chk_a16: &'w mut [i16],
-    pub chk_b16: &'w mut [i16],
-    pub uchk: &'w mut [u8],
-    pub chk_sum: &'w mut [i32],
-    pub vsum: &'w mut [u32],
+    pub scratch: FtScratch<'w>,
 }
 
 impl Workspace {
@@ -447,23 +452,23 @@ impl Workspace {
         }
     }
 
-    /// Every buffer at once, for the execution paths that need several
-    /// simultaneously (view facade, mixed raw/prepared path, ABFT
-    /// executor). Call the `reserve_*` methods for the buffers in use
-    /// first.
+    /// Every buffer at once (see [`WsBuffers`]). Call the `reserve_*`
+    /// methods for the buffers in use first.
     pub(crate) fn buffers(&mut self) -> WsBuffers<'_> {
         WsBuffers {
             a16: &mut self.a16,
             b16: &mut self.b16,
-            u: &mut self.u,
-            c32: &mut self.c32,
-            racc: &mut self.racc,
             cstage: &mut self.cstage,
-            chk_a16: &mut self.chk_a16,
-            chk_b16: &mut self.chk_b16,
-            uchk: &mut self.uchk,
-            chk_sum: &mut self.chk_sum,
-            vsum: &mut self.vsum,
+            scratch: FtScratch {
+                u: &mut self.u,
+                c32: &mut self.c32,
+                racc: &mut self.racc,
+                chk_a16: &mut self.chk_a16,
+                chk_b16: &mut self.chk_b16,
+                uchk: &mut self.uchk,
+                chk_sum: &mut self.chk_sum,
+                vsum: &mut self.vsum,
+            },
         }
     }
 }
@@ -556,11 +561,12 @@ impl Ozaki2 {
         self
     }
 
-    /// Emulated DGEMM: `C ≈ A·B` for f64 operands.
+    /// Emulated DGEMM: `C ≈ A·B` for f64 operands, i.e.
+    /// `gemm(GemmArgs::new(a, b))` with the output unwrapped.
     ///
     /// # Panics
-    /// On shape mismatch or non-finite input (use [`Ozaki2::try_dgemm`]
-    /// for a checked version).
+    /// On shape mismatch or non-finite input (use [`Ozaki2::gemm`] for
+    /// the checked form).
     ///
     /// # Examples
     /// ```
@@ -577,187 +583,21 @@ impl Ozaki2 {
     /// assert!(max_relative_error(&c, &exact) < 1e-10);
     /// ```
     pub fn dgemm(&self, a: &MatF64, b: &MatF64) -> MatF64 {
-        self.try_dgemm(a, b)
+        self.gemm(GemmArgs::new(a, b))
             .unwrap_or_else(|e| panic!("dgemm: {e}"))
+            .c
     }
 
-    /// Checked emulated DGEMM.
-    pub fn try_dgemm(&self, a: &MatF64, b: &MatF64) -> Result<MatF64, EmulationError> {
-        self.try_dgemm_with_report(a, b).map(|(c, _)| c)
-    }
-
-    /// Emulated DGEMM returning the phase breakdown.
-    pub fn dgemm_with_report(&self, a: &MatF64, b: &MatF64) -> (MatF64, EmulationReport) {
-        self.try_dgemm_with_report(a, b)
-            .unwrap_or_else(|e| panic!("dgemm: {e}"))
-    }
-
-    /// Checked emulated DGEMM with report.
-    pub fn try_dgemm_with_report(
-        &self,
-        a: &MatF64,
-        b: &MatF64,
-    ) -> Result<(MatF64, EmulationReport), EmulationError> {
-        self.try_dgemm_with_report_ws(a, b, &mut Workspace::new())
-    }
-
-    /// Emulated DGEMM reusing a caller-owned [`Workspace`]: steady-state
-    /// repeated calls allocate nothing but the output matrix.
-    ///
-    /// # Panics
-    /// On shape mismatch or non-finite input.
-    pub fn dgemm_ws(&self, a: &MatF64, b: &MatF64, ws: &mut Workspace) -> MatF64 {
-        self.try_dgemm_with_report_ws(a, b, ws)
-            .map(|(c, _)| c)
-            .unwrap_or_else(|e| panic!("dgemm: {e}"))
-    }
-
-    /// Checked emulated DGEMM with report, reusing a caller-owned
-    /// [`Workspace`].
-    pub fn try_dgemm_with_report_ws(
-        &self,
-        a: &MatF64,
-        b: &MatF64,
-        ws: &mut Workspace,
-    ) -> Result<(MatF64, EmulationReport), EmulationError> {
-        validate_f64(a, OperandSide::A)?;
-        validate_f64(b, OperandSide::B)?;
-        if a.cols() != b.rows() {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        Ok(emulate(
-            a,
-            b,
-            self.n_moduli,
-            self.mode,
-            self.backend,
-            self.fault,
-            ws,
-        ))
-    }
-
-    /// Emulated DGEMM writing into a caller-owned output matrix, reusing a
-    /// caller-owned [`Workspace`]: the fully allocation-free steady state.
-    /// `c` must already have shape `(a.rows(), b.cols())`; it is fully
-    /// overwritten. Bit-identical to [`Ozaki2::dgemm`].
-    ///
-    /// # Panics
-    /// On shape mismatch (including `c`) or non-finite input.
-    pub fn dgemm_into_ws(&self, a: &MatF64, b: &MatF64, c: &mut MatF64, ws: &mut Workspace) {
-        self.try_dgemm_into_ws(a, b, c, ws)
-            .unwrap_or_else(|e| panic!("dgemm: {e}"));
-    }
-
-    /// Checked form of [`Ozaki2::dgemm_into_ws`], returning the phase
-    /// report. The per-call output allocation of `dgemm` disappears: over
-    /// repeated same-shape calls neither the workspace nor the output
-    /// allocate.
-    pub fn try_dgemm_into_ws(
-        &self,
-        a: &MatF64,
-        b: &MatF64,
-        c: &mut MatF64,
-        ws: &mut Workspace,
-    ) -> Result<EmulationReport, EmulationError> {
-        validate_f64(a, OperandSide::A)?;
-        validate_f64(b, OperandSide::B)?;
-        if a.cols() != b.rows() || c.shape() != (a.rows(), b.cols()) {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        Ok(emulate_into(
-            a,
-            b,
-            self.n_moduli,
-            self.mode,
-            self.backend,
-            self.fault,
-            ws,
-            true,
-            c.as_mut_slice(),
-        ))
-    }
-
-    /// Emulated SGEMM: `C ≈ A·B` for f32 operands.
+    /// Emulated SGEMM: `C ≈ A·B` for f32 operands, i.e.
+    /// `gemm(GemmArgs::new(a, b))` with the output unwrapped.
     ///
     /// # Panics
     /// On shape mismatch, non-finite input, or `N > 18` (the `b = 32`
     /// conversion kernel's validated range).
     pub fn sgemm(&self, a: &MatF32, b: &MatF32) -> MatF32 {
-        self.try_sgemm(a, b)
+        self.gemm(GemmArgs::new(a, b))
             .unwrap_or_else(|e| panic!("sgemm: {e}"))
-    }
-
-    /// Checked emulated SGEMM.
-    pub fn try_sgemm(&self, a: &MatF32, b: &MatF32) -> Result<MatF32, EmulationError> {
-        self.try_sgemm_with_report(a, b).map(|(c, _)| c)
-    }
-
-    /// Emulated SGEMM returning the phase breakdown.
-    pub fn sgemm_with_report(&self, a: &MatF32, b: &MatF32) -> (MatF32, EmulationReport) {
-        self.try_sgemm_with_report(a, b)
-            .unwrap_or_else(|e| panic!("sgemm: {e}"))
-    }
-
-    /// Checked emulated SGEMM with report.
-    pub fn try_sgemm_with_report(
-        &self,
-        a: &MatF32,
-        b: &MatF32,
-    ) -> Result<(MatF32, EmulationReport), EmulationError> {
-        self.try_sgemm_with_report_ws(a, b, &mut Workspace::new())
-    }
-
-    /// Emulated SGEMM reusing a caller-owned [`Workspace`].
-    ///
-    /// # Panics
-    /// On shape mismatch, non-finite input, or `N > 18`.
-    pub fn sgemm_ws(&self, a: &MatF32, b: &MatF32, ws: &mut Workspace) -> MatF32 {
-        self.try_sgemm_with_report_ws(a, b, ws)
-            .map(|(c, _)| c)
-            .unwrap_or_else(|e| panic!("sgemm: {e}"))
-    }
-
-    /// Checked emulated SGEMM with report, reusing a caller-owned
-    /// [`Workspace`].
-    pub fn try_sgemm_with_report_ws(
-        &self,
-        a: &MatF32,
-        b: &MatF32,
-        ws: &mut Workspace,
-    ) -> Result<(MatF32, EmulationReport), EmulationError> {
-        let max = backend_n_max(self.backend, true);
-        if self.n_moduli > max {
-            return Err(EmulationError::UnsupportedN {
-                n: self.n_moduli,
-                max,
-            });
-        }
-        validate_f32(a, OperandSide::A)?;
-        validate_f32(b, OperandSide::B)?;
-        if a.cols() != b.rows() {
-            return Err(EmulationError::ShapeMismatch);
-        }
-        // The generic view body widens f32 lanes exactly inside the fused
-        // sweep's staging tiles (the power-of-two scales and truncation
-        // commute with exact widening), so no widened operand copy exists
-        // and the result matches the historical widen-first path bitwise.
-        let mut out = Matrix::<f32>::zeros(a.rows(), b.cols());
-        let report = crate::facade::emulate_view_into(
-            a.view(),
-            b.view(),
-            self.n_moduli,
-            self.mode,
-            self.backend,
-            ws,
-            true,
-            1.0f32,
-            0.0f32,
-            out.view_mut(),
-            false,
-            false,
-            self.fault,
-        )?;
-        Ok((out, report))
+            .c
     }
 }
 
@@ -779,120 +619,145 @@ impl MatMulF32 for Ozaki2 {
     }
 }
 
-fn validate_f64(a: &MatF64, side: OperandSide) -> Result<(), EmulationError> {
-    match a.iter().position(|x| !x.is_finite()) {
-        None => Ok(()),
-        Some(index) => Err(EmulationError::NonFiniteInput { side, index }),
-    }
-}
-
-fn validate_f32(a: &MatF32, side: OperandSide) -> Result<(), EmulationError> {
-    match a.iter().position(|x| !x.is_finite()) {
-        None => Ok(()),
-        Some(index) => Err(EmulationError::NonFiniteInput { side, index }),
-    }
-}
-
-/// The shared f64 Algorithm-1 body: a thin delegate of the canonical
-/// view-based body ([`crate::facade::emulate_view_into`]) over contiguous
-/// column-major views. All scratch comes from `ws` (grow-only, reused
-/// across calls). Inputs must be pre-validated (finite, shapes agree).
+/// Algorithm 1 lines 2–5 for one operand: the fused trunc+convert sweep
+/// of `v` (rows for side A, columns for side B, scaled by `exps`) into its
+/// `N` packed i16 residue panel sets. `b64` picks the DGEMM or SGEMM
+/// conversion thresholds; the sweep time is split into `phases.trunc`
+/// and `phases.convert` by per-job CPU-time share.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn emulate(
-    a: &MatF64,
-    b: &MatF64,
-    n_moduli: usize,
-    mode: Mode,
-    backend: BackendKind,
-    fault: FaultPolicy,
-    ws: &mut Workspace,
-) -> (MatF64, EmulationReport) {
-    let mut out = Matrix::<f64>::zeros(a.rows(), b.cols());
-    let report = emulate_into(
-        a,
-        b,
-        n_moduli,
-        mode,
-        backend,
-        fault,
-        ws,
-        true,
-        out.as_mut_slice(),
-    );
-    (out, report)
-}
-
-/// [`emulate`] writing into a caller-owned column-major `m x n` output
-/// slice (fully overwritten) — the allocation-free form the batched
-/// runtime and [`crate::plan::GemmPlan::execute_into`] run. `parallel`
-/// gates every internal rayon region (convert sweep, engine stripes): the
-/// inter-GEMM scheduler sets it to `false` so concurrent items do not
-/// nest parallel regions. The result is bit-identical either way.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emulate_into(
-    a: &MatF64,
-    b: &MatF64,
-    n_moduli: usize,
-    mode: Mode,
-    backend: BackendKind,
-    fault: FaultPolicy,
-    ws: &mut Workspace,
+pub(crate) fn convert_side<T: Element>(
+    v: &MatView<'_, T>,
+    side: OperandSide,
+    exps: &[i32],
+    consts: &Constants,
+    b64: bool,
     parallel: bool,
-    out: &mut [f64],
-) -> EmulationReport {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(out.len(), m * n, "output buffer mismatch");
-    debug_assert_eq!(k, b.rows());
-    crate::facade::emulate_view_into(
-        a.view(),
-        b.view(),
-        n_moduli,
-        mode,
-        backend,
-        ws,
+    panels: &mut [i16],
+    phases: &mut PhaseTimes,
+) {
+    let (vecs, vecs_pad, k) = match side {
+        OperandSide::A => (v.rows(), padded_a_rows(v.rows()), v.cols()),
+        OperandSide::B => (v.cols(), padded_b_cols(v.cols()), v.rows()),
+    };
+    let timing = TimeShare::new();
+    let t0 = Instant::now();
+    trunc_convert_pack_panels(
+        vectors_source(v, side == OperandSide::A, exps),
+        vecs,
+        vecs_pad,
+        k,
+        padded_depth(k),
+        consts,
+        b64,
         parallel,
-        1.0f64,
-        0.0f64,
-        gemm_dense::MatViewMut::col_major(out, m, n),
-        false,
-        false,
-        fault,
-    )
-    .expect("inputs validated by the caller")
+        panels,
+        Some(&timing),
+    );
+    let sweep = t0.elapsed();
+    let trunc = sweep.mul_f64(timing.fraction());
+    phases.trunc += trunc;
+    phases.convert += sweep.saturating_sub(trunc);
 }
 
-/// Algorithm 1 lines 6–12 over already-packed residue panels: the `N`
-/// residue-plane GEMMs with fused modular reduction on `engine`, the
-/// block-residue finalization for `k` past the pool's block limit, and the
-/// CRT fold with inverse scaling. This is the shared back half of
-/// [`emulate_into`] and the prepared-operand execution path
-/// ([`crate::prepared`]) — both run the very same code, which is what makes
-/// batched results bit-identical to per-call [`Ozaki2::dgemm`].
+/// Algorithm 1 lines 1–5 for one operand in [`Mode::Fast`]: its
+/// one-sided scale exponents (row scales for A, column scales for B),
+/// then [`convert_side`]. This is what a preparation caches and what a raw
+/// side of an execution runs. Returns the exponents.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn front_end_side<T: Element>(
+    v: &MatView<'_, T>,
+    side: OperandSide,
+    consts: &Constants,
+    b64: bool,
+    parallel: bool,
+    panels: &mut [i16],
+    phases: &mut PhaseTimes,
+) -> Vec<i32> {
+    let t0 = Instant::now();
+    let exps = match side {
+        OperandSide::A => fast_scale_a_view(v, consts.p_fast),
+        OperandSide::B => fast_scale_b_view(v, consts.p_fast),
+    };
+    phases.scale += t0.elapsed();
+    convert_side(v, side, &exps, consts, b64, parallel, panels, phases);
+    exps
+}
+
+/// Algorithm 1 lines 1–5 for two raw operands: in fast mode each side's
+/// [`front_end_side`]; in accurate mode the joint scale vectors (one `Ā·B̄`
+/// estimation GEMM), then a [`convert_side`] sweep per side. Returns both
+/// exponent vectors and the number of engine GEMMs run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn front_end<T: Element>(
+    a: &MatView<'_, T>,
+    b: &MatView<'_, T>,
+    mode: Mode,
+    consts: &Constants,
+    parallel: bool,
+    a16: &mut [i16],
+    b16: &mut [i16],
+    phases: &mut PhaseTimes,
+) -> (Vec<i32>, Vec<i32>, usize) {
+    let b64 = T::IS_F64;
+    match mode {
+        Mode::Fast => (
+            front_end_side(a, OperandSide::A, consts, b64, parallel, a16, phases),
+            front_end_side(b, OperandSide::B, consts, b64, parallel, b16, phases),
+            0,
+        ),
+        Mode::Accurate => {
+            let t0 = Instant::now();
+            let (exps_a, exps_b) = accurate_scale_view(a, b, consts.p_accu);
+            phases.scale += t0.elapsed();
+            convert_side(
+                a,
+                OperandSide::A,
+                &exps_a,
+                consts,
+                b64,
+                parallel,
+                a16,
+                phases,
+            );
+            convert_side(
+                b,
+                OperandSide::B,
+                &exps_b,
+                consts,
+                b64,
+                parallel,
+                b16,
+                phases,
+            );
+            (exps_a, exps_b, 1)
+        }
+    }
+}
+
+/// Algorithm 1 lines 6–7 over already-packed residue panels: the `N`
+/// residue-plane GEMMs on `engine` with fused modular reduction into the
+/// UINT8 planes `u`, and the block-residue finalization for `k` past the
+/// pool's block limit. Returns the number of engine GEMMs run.
 ///
 /// `a16` / `b16` hold `N` panel sets of `m_pad * kp` / `n_pad * kp` i16
-/// each; `u`, `c32`, `racc` are the workspace planes (`racc` only consumed
-/// past the block limit). Returns the number of engine GEMMs issued.
-/// Every backend computes the same exact integers over the same stripe
-/// decomposition and the same pool-derived k-blocking, so the result is
-/// bit-identical for every `engine`.
+/// each; `c32` is the INT32 product plane and `racc` the block-residue
+/// accumulator (only consumed past the block limit). Every backend
+/// computes the same exact integers over the same stripe decomposition
+/// and the same pool-derived k-blocking, so the planes are bit-identical
+/// for every `engine`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_panels(
+pub(crate) fn residue_stage(
     m: usize,
     n: usize,
     k: usize,
     consts: &Constants,
-    b64: bool,
     engine: &dyn ResidueBackend,
     a16: &[i16],
     b16: &[i16],
-    exps_a: &[i32],
-    exps_b: &[i32],
     u: &mut [u8],
     c32: &mut [i32],
     racc: &mut [i32],
     parallel: bool,
-    out: &mut [f64],
     phases: &mut PhaseTimes,
 ) -> usize {
     let nmod = consts.n;
@@ -905,84 +770,126 @@ pub(crate) fn execute_panels(
     let k_block = engine.k_block_max(consts.p[0]);
     let mut gemm_calls = 0usize;
 
-    // ---- Lines 6–7: residue GEMMs with fused modular reduction ----------
     // The mod-p reduction runs inside the GEMM call, on cache-resident `C`
     // stripes (see `gemm_engine::Epilogue`); the slowest worker's epilogue
     // time lands in `mod_nanos` so the phase split survives the fusion.
     let u = &mut u[..nmod * plane];
     let c32 = &mut c32[..plane];
     let mod_nanos = AtomicU64::new(0);
-    if k <= k_block {
-        for s in 0..nmod {
+    let attribute = |t0: Instant, phases: &mut PhaseTimes| {
+        let total = t0.elapsed();
+        let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
+        phases.mod_reduce += modd;
+        phases.int8_gemm += total.saturating_sub(modd);
+    };
+    for s in 0..nmod {
+        let a_panels = &a16[s * m_pad * kp..(s + 1) * m_pad * kp];
+        let b_panels = &b16[s * n_pad * kp..(s + 1) * n_pad * kp];
+        let u_s = &mut u[s * plane..(s + 1) * plane];
+        if k <= k_block {
             let t0 = Instant::now();
             engine.gemm_reduce(
                 m,
                 n,
                 k,
-                &a16[s * m_pad * kp..(s + 1) * m_pad * kp],
-                &b16[s * n_pad * kp..(s + 1) * n_pad * kp],
+                a_panels,
+                b_panels,
                 kp,
                 0,
                 c32,
-                &mut u[s * plane..(s + 1) * plane],
+                u_s,
                 consts.p[s],
                 consts.p_inv_u32[s],
                 Some(&mod_nanos),
                 parallel,
             );
             gemm_calls += 1;
-            let total = t0.elapsed();
-            let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-            phases.mod_reduce += modd;
-            phases.int8_gemm += total.saturating_sub(modd);
+            attribute(t0, phases);
+            continue;
         }
-    } else {
         // k-blocking: reduce each block's products mod p, accumulate the
         // residues in i32, reduce once more at the end. Every block is a
-        // PK-aligned depth window of the same packed panels — no repacking,
-        // no copies.
+        // PK-aligned depth window of the same packed panels — no
+        // repacking, no copies.
         let racc = &mut racc[..plane];
-        for s in 0..nmod {
-            racc.fill(0);
-            let a_panels = &a16[s * m_pad * kp..(s + 1) * m_pad * kp];
-            let b_panels = &b16[s * n_pad * kp..(s + 1) * n_pad * kp];
-            let mut h0 = 0usize;
-            while h0 < k {
-                let kb = k_block.min(k - h0);
-                let t0 = Instant::now();
-                engine.gemm_accumulate(
-                    m,
-                    n,
-                    kb,
-                    a_panels,
-                    b_panels,
-                    kp,
-                    h0,
-                    c32,
-                    racc,
-                    consts.p[s],
-                    consts.p_inv_u32[s],
-                    Some(&mod_nanos),
-                    parallel,
-                );
-                gemm_calls += 1;
-                let total = t0.elapsed();
-                let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-                phases.mod_reduce += modd;
-                phases.int8_gemm += total.saturating_sub(modd);
-                h0 += kb;
-            }
+        racc.fill(0);
+        let mut h0 = 0usize;
+        while h0 < k {
+            let kb = k_block.min(k - h0);
             let t0 = Instant::now();
-            finalize_block_residues(
+            engine.gemm_accumulate(
+                m,
+                n,
+                kb,
+                a_panels,
+                b_panels,
+                kp,
+                h0,
+                c32,
                 racc,
                 consts.p[s],
                 consts.p_inv_u32[s],
-                &mut u[s * plane..(s + 1) * plane],
+                Some(&mod_nanos),
+                parallel,
             );
-            phases.mod_reduce += t0.elapsed();
+            gemm_calls += 1;
+            attribute(t0, phases);
+            h0 += kb;
         }
+        let t0 = Instant::now();
+        finalize_block_residues(racc, consts.p[s], consts.p_inv_u32[s], u_s);
+        phases.mod_reduce += t0.elapsed();
     }
+    gemm_calls
+}
 
+/// Algorithm 1 lines 6–12 over packed panels under `policy`: the ABFT
+/// executor ([`execute_panels_ft`]) when a policy is active, otherwise
+/// [`residue_stage`] followed by the CRT fold with inverse scaling. This
+/// is the shared back half of [`Ozaki2::gemm_into`] and
+/// [`Ozaki2::execute`], which is what makes prepared and batched results
+/// bit-identical to per-call [`Ozaki2::dgemm`]. Returns the engine GEMMs
+/// run and the ABFT outcome (`None` under [`FaultPolicy::Off`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_panels(
+    m: usize,
+    n: usize,
+    k: usize,
+    consts: &Constants,
+    b64: bool,
+    engine: &dyn ResidueBackend,
+    a: PanelsRef<'_>,
+    b: PanelsRef<'_>,
+    exps_a: &[i32],
+    exps_b: &[i32],
+    scratch: FtScratch<'_>,
+    parallel: bool,
+    policy: FaultPolicy,
+    out: &mut [f64],
+    phases: &mut PhaseTimes,
+) -> (usize, Option<FaultReport>) {
+    if policy.is_active() {
+        let (calls, report) = execute_panels_ft(
+            m, n, k, consts, b64, engine, a, b, exps_a, exps_b, scratch, parallel, policy, out,
+            phases,
+        );
+        return (calls, Some(report));
+    }
+    let FtScratch { u, c32, racc, .. } = scratch;
+    let calls = residue_stage(
+        m,
+        n,
+        k,
+        consts,
+        engine,
+        a.panels(),
+        b.panels(),
+        u,
+        c32,
+        racc,
+        parallel,
+        phases,
+    );
     // ---- Lines 8–12: fold ------------------------------------------------
     // fold_planes' internal column parallelism nests safely inside an
     // inter-GEMM worker (nested regions run sequentially on the worker),
@@ -993,9 +900,41 @@ pub(crate) fn execute_panels(
     } else {
         FoldPrecision::Single
     };
-    fold_planes(u, m, n, consts, precision, exps_a, exps_b, out);
-    phases.fold = t0.elapsed();
-    gemm_calls
+    fold_planes(
+        &u[..consts.n * m * n],
+        m,
+        n,
+        consts,
+        precision,
+        exps_a,
+        exps_b,
+        out,
+    );
+    phases.fold += t0.elapsed();
+    (calls, None)
+}
+
+/// The report every execution entry returns: `backend` is the configured
+/// one (its pool sets the predicted error); the report names the engine
+/// that actually ran it.
+pub(crate) fn make_report(
+    emu: &Ozaki2,
+    backend: BackendKind,
+    shape: (usize, usize, usize),
+    phases: PhaseTimes,
+    int8_gemm_calls: usize,
+    fault: Option<FaultReport>,
+) -> EmulationReport {
+    EmulationReport {
+        shape,
+        n_moduli: emu.n_moduli,
+        mode: emu.mode,
+        backend: backend.engine(),
+        predicted_error: predicted_error_for(backend, emu.n_moduli, shape.2),
+        phases,
+        int8_gemm_calls,
+        fault,
+    }
 }
 
 #[cfg(test)]
@@ -1004,6 +943,7 @@ mod tests {
     use gemm_dense::gemm::gemm_f64_naive;
     use gemm_dense::norms::max_relative_error;
     use gemm_dense::workload::{phi_matrix_f64, uniform_matrix_f64};
+    use gemm_dense::Matrix;
 
     #[test]
     fn dgemm_small_uniform_high_accuracy() {
@@ -1075,7 +1015,9 @@ mod tests {
         a[(1, 2)] = f64::NAN;
         let b = uniform_matrix_f64(4, 4, 1, 1);
         assert_eq!(
-            Ozaki2::new(8, Mode::Fast).try_dgemm(&a, &b),
+            Ozaki2::new(8, Mode::Fast)
+                .gemm(GemmArgs::new(&a, &b))
+                .map(|o| o.c),
             Err(EmulationError::NonFiniteInput {
                 side: OperandSide::A,
                 index: 9, // col-major storage offset of (1, 2) with m = 4
@@ -1088,7 +1030,9 @@ mod tests {
         let a = uniform_matrix_f64(4, 5, 1, 0);
         let b = uniform_matrix_f64(4, 4, 1, 1);
         assert_eq!(
-            Ozaki2::new(8, Mode::Fast).try_dgemm(&a, &b),
+            Ozaki2::new(8, Mode::Fast)
+                .gemm(GemmArgs::new(&a, &b))
+                .map(|o| o.c),
             Err(EmulationError::ShapeMismatch)
         );
     }
@@ -1097,7 +1041,7 @@ mod tests {
     fn sgemm_caps_n_at_18() {
         let a = gemm_dense::workload::phi_matrix_f32(4, 4, 0.5, 1, 0);
         let b = gemm_dense::workload::phi_matrix_f32(4, 4, 0.5, 1, 1);
-        let r = Ozaki2::new(20, Mode::Fast).try_sgemm(&a, &b);
+        let r = Ozaki2::new(20, Mode::Fast).gemm(GemmArgs::new(&a, &b));
         assert_eq!(
             r.unwrap_err(),
             EmulationError::UnsupportedN { n: 20, max: 18 }
@@ -1108,9 +1052,15 @@ mod tests {
     fn report_counts_int8_gemms() {
         let a = uniform_matrix_f64(8, 8, 2, 0);
         let b = uniform_matrix_f64(8, 8, 2, 1);
-        let (_, rep) = Ozaki2::new(9, Mode::Fast).dgemm_with_report(&a, &b);
+        let rep = Ozaki2::new(9, Mode::Fast)
+            .gemm(GemmArgs::new(&a, &b))
+            .unwrap()
+            .report;
         assert_eq!(rep.int8_gemm_calls, 9);
-        let (_, rep) = Ozaki2::new(9, Mode::Accurate).dgemm_with_report(&a, &b);
+        let rep = Ozaki2::new(9, Mode::Accurate)
+            .gemm(GemmArgs::new(&a, &b))
+            .unwrap()
+            .report;
         assert_eq!(rep.int8_gemm_calls, 10); // +1 estimation GEMM
         assert_eq!(rep.shape, (8, 8, 8));
     }
@@ -1153,17 +1103,20 @@ mod tests {
         let emu = Ozaki2::new(11, Mode::Fast);
         let baseline = emu.dgemm(&a, &b);
         let mut ws = Workspace::new();
-        assert_eq!(emu.dgemm_ws(&a, &b, &mut ws), baseline);
+        let with_ws = |a: &MatF64, b: &MatF64, ws: &mut Workspace| {
+            emu.gemm(GemmArgs::new(a, b).workspace(ws)).unwrap().c
+        };
+        assert_eq!(with_ws(&a, &b, &mut ws), baseline);
         let steady = ws.bytes();
         assert!(steady > 0);
         for _ in 0..3 {
-            assert_eq!(emu.dgemm_ws(&a, &b, &mut ws), baseline);
+            assert_eq!(with_ws(&a, &b, &mut ws), baseline);
             assert_eq!(ws.bytes(), steady, "steady state must not allocate");
         }
         // A smaller problem reuses the same buffers.
         let a2 = phi_matrix_f64(8, 16, 0.8, 6, 0);
         let b2 = phi_matrix_f64(16, 8, 0.8, 6, 1);
-        assert_eq!(emu.dgemm_ws(&a2, &b2, &mut ws), emu.dgemm(&a2, &b2));
+        assert_eq!(with_ws(&a2, &b2, &mut ws), emu.dgemm(&a2, &b2));
         assert_eq!(ws.bytes(), steady);
     }
 

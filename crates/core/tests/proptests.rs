@@ -494,7 +494,7 @@ proptest! {
 
 use gemm_dense::view::Layout;
 use gemm_dense::MatView;
-use ozaki2::{GemmArgs, GemmOp};
+use ozaki2::{GemmArgs, GemmOp, OperandInput};
 
 /// Scatter `mat` into a fresh NaN-poisoned column-major buffer with
 /// leading dimension `rows + pad`; only the logical elements are written,
@@ -633,8 +633,8 @@ proptest! {
         prop_assert_eq!(&got.c, &want, "N={}", nmod);
     }
 
-    /// Every historical named entry is a thin wrapper of the facade:
-    /// equal results, bit for bit.
+    /// Every entry is the facade's body: `dgemm`/`sgemm`, `gemm_into` with
+    /// any argument mix, and `execute` over raw views agree bit for bit.
     #[test]
     fn named_wrappers_equal_facade(
         m in 1usize..=10,
@@ -651,21 +651,40 @@ proptest! {
         let facade = emu.gemm(GemmArgs::new(&a, &b)).unwrap().c;
 
         prop_assert_eq!(&emu.dgemm(&a, &b), &facade);
-        prop_assert_eq!(&emu.try_dgemm(&a, &b).unwrap(), &facade);
-        prop_assert_eq!(&emu.dgemm_with_report(&a, &b).0, &facade);
+        // Workspace reuse, a caller-owned output with a report sink, the
+        // BLAS transpose options, and the raw-view execute path.
         let mut ws = ozaki2::Workspace::new();
-        prop_assert_eq!(&emu.dgemm_ws(&a, &b, &mut ws), &facade);
+        let reused = emu.gemm(GemmArgs::new(&a, &b).workspace(&mut ws)).unwrap();
+        prop_assert_eq!(&reused.c, &facade);
         let mut c = Matrix::<f64>::zeros(m, n);
-        emu.dgemm_into_ws(&a, &b, &mut c, &mut ws);
+        let mut sink = None;
+        emu.gemm_into(
+            GemmArgs::new(&a, &b).workspace(&mut ws).report(&mut sink),
+            c.view_mut(),
+        )
+        .unwrap();
         prop_assert_eq!(&c, &facade);
+        prop_assert!(sink.is_some());
         let mut c_blas = Matrix::<f64>::zeros(m, n);
-        emu.dgemm_blas(GemmOp::N, GemmOp::N, 1.0, &a, &b, 0.0, &mut c_blas);
+        let (at, bt) = (a.transpose(), b.transpose());
+        emu.gemm_into(
+            GemmArgs::new(&at, &bt).trans_a(GemmOp::T).trans_b(GemmOp::T),
+            c_blas.view_mut(),
+        )
+        .unwrap();
         prop_assert_eq!(&c_blas, &facade);
-        let mut plan = ozaki2::GemmPlan::new(emu, m, n, k);
-        prop_assert_eq!(&plan.execute(&a, &b), &facade);
-        let mut c_plan = Matrix::<f64>::zeros(m, n);
-        plan.execute_views_into(a.view(), b.view(), c_plan.view_mut()).unwrap();
-        prop_assert_eq!(&c_plan, &facade);
+        if !accurate {
+            let mut c_exec = vec![0f64; m * n];
+            emu.execute(
+                OperandInput::RawView(a.view()),
+                OperandInput::RawView(b.view()),
+                &mut ws,
+                true,
+                &mut c_exec,
+            )
+            .unwrap();
+            prop_assert_eq!(&c_exec[..], facade.as_slice());
+        }
 
         // f32 family.
         let af = gemm_dense::workload::phi_matrix_f32(m, k, 0.5, seed, 0);
@@ -674,7 +693,7 @@ proptest! {
         let facade32 = emu8.gemm(GemmArgs::new(&af, &bf)).unwrap().c;
         prop_assert_eq!(&emu8.sgemm(&af, &bf), &facade32);
         let mut cf = Matrix::<f32>::zeros(m, n);
-        emu8.sgemm_blas(GemmOp::N, GemmOp::N, 1.0f32, &af, &bf, 0.0f32, &mut cf);
+        emu8.gemm_into(GemmArgs::new(&af, &bf), cf.view_mut()).unwrap();
         prop_assert_eq!(&cf, &facade32);
     }
 }

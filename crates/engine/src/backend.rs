@@ -46,7 +46,6 @@ use crate::int8::{
     padded_a_rows, padded_b_cols, padded_depth, stripe_count, AccumulateEpilogue, Epilogue,
     ReduceEpilogue, MR, NR, PK,
 };
-use crate::stats::LOWFP_STATS;
 use gemm_lowfp::BF16;
 use rayon::prelude::*;
 use std::sync::atomic::AtomicU64;
@@ -590,7 +589,6 @@ pub fn fma_gemm_prepacked_fused<E: Epilogue>(
     if E::ACTIVE {
         assert_eq!(out.len(), m * n, "epilogue plane mismatch");
     }
-    LOWFP_STATS.record_gemm(m, n, k);
     gemm_obs::catalog::ENGINE_FMA_CALLS.inc();
     gemm_obs::catalog::ENGINE_FMA_MACS.add((m as u64) * (n as u64) * (k as u64));
     if m == 0 || n == 0 {

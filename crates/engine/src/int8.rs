@@ -67,7 +67,6 @@
 //! residue planes of a single emulated product, LU panel updates, …)
 //! allocate nothing in steady state.
 
-use crate::stats::INT8_STATS;
 use gemm_dense::{MatI32, MatI8, Matrix};
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -1126,7 +1125,6 @@ pub fn int8_gemm_fused<E: Epilogue>(
     if E::ACTIVE {
         assert_eq!(out.len(), m * n, "epilogue plane mismatch");
     }
-    INT8_STATS.record_gemm(m, n, k);
     gemm_obs::catalog::ENGINE_INT8_CALLS.inc();
     gemm_obs::catalog::ENGINE_INT8_MACS.add((m as u64) * (n as u64) * (k as u64));
     if m == 0 || n == 0 {
@@ -1253,7 +1251,6 @@ pub fn int8_gemm_prepacked_fused<E: Epilogue>(
     if E::ACTIVE {
         assert_eq!(out.len(), m * n, "epilogue plane mismatch");
     }
-    INT8_STATS.record_gemm(m, n, k);
     gemm_obs::catalog::ENGINE_INT8_CALLS.inc();
     gemm_obs::catalog::ENGINE_INT8_MACS.add((m as u64) * (n as u64) * (k as u64));
     if m == 0 || n == 0 {

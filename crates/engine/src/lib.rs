@@ -10,8 +10,6 @@
 //!   `ozaki2` pipeline executes residue planes through: the INT8 engine
 //!   and an f32-accumulating bf16-FMA engine behind one trait, selectable
 //!   per emulator and forceable process-wide via `OZAKI_FORCE_BACKEND`;
-//! * [`stats`] — global invocation counters consumed by tests and the
-//!   device model;
 //! * [`faultinject`] — deterministic bit-flip injection at named pipeline
 //!   sites plus the thread-local scalar-dispatch scope, the substrate of
 //!   the `ozaki2` fault-tolerant execution layer.
@@ -21,7 +19,6 @@
 pub mod backend;
 pub mod faultinject;
 pub mod int8;
-pub mod stats;
 pub mod tensor;
 
 pub use backend::{
@@ -36,5 +33,4 @@ pub use int8::{
     padded_a_rows, padded_b_cols, padded_depth, AccumulateEpilogue, AmxUnavailable, Epilogue,
     Int8Workspace, NoEpilogue, ReduceEpilogue, MR, NR, PK,
 };
-pub use stats::{EngineStats, INT8_STATS, LOWFP_STATS};
 pub use tensor::{dequantize, lowfp_gemm, quantize};

@@ -7,7 +7,6 @@
 //! same two properties, so the baseline emulations built on it (cuMpSGEMM,
 //! BF16x9, TF32GEMM) inherit the hardware's rounding behaviour.
 
-use crate::stats::LOWFP_STATS;
 use gemm_dense::{MatF32, Matrix};
 use gemm_lowfp::LowFloat;
 use rayon::prelude::*;
@@ -21,7 +20,6 @@ pub fn lowfp_gemm<T: LowFloat + Default>(a: &Matrix<T>, b: &Matrix<T>) -> MatF32
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "inner dimensions must agree");
-    LOWFP_STATS.record_gemm(m, n, k);
     let mut c = Matrix::<f32>::zeros(m, n);
     if m == 0 || n == 0 || k == 0 {
         return c;

@@ -1,50 +1,47 @@
-//! Engine invocation accounting against the process-global counters.
+//! Engine invocation accounting against the process-global `gemm_obs`
+//! engine counters.
 //!
-//! `INT8_STATS`, `LOWFP_STATS` and the `gemm_obs` engine counters are
-//! process-wide, so a count is exact only while no other engine call runs.
-//! This binary holds nothing but accounting tests, and they serialize on
-//! one lock.
+//! The counters are process-wide and count only while observability is
+//! armed, so a count is exact only while no other engine call runs. This
+//! binary holds nothing but accounting tests; each arms the registry and
+//! reads counter deltas under one lock.
 
 use gemm_dense::Matrix;
 use gemm_engine::{
-    int8_gemm, lowfp_gemm, microkernel_name, pack_panels_i16, padded_a_rows, padded_b_cols,
-    padded_depth, Int8Backend, ResidueBackend, INT8_STATS, LOWFP_STATS,
+    int8_gemm, microkernel_name, pack_panels_i16, padded_a_rows, padded_b_cols, padded_depth,
+    Int8Backend, ResidueBackend,
 };
-use gemm_lowfp::F16;
 use gemm_obs::catalog::{ENGINE_INT8_CALLS, ENGINE_INT8_MACS};
 use std::sync::{Mutex, MutexGuard};
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
+/// Serialize on the counters and arm the registry.
 fn counters_lock() -> MutexGuard<'static, ()> {
-    COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    let guard = COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    gemm_obs::set_enabled(true);
+    guard
+}
+
+/// `(calls, macs)` of the INT8 engine so far.
+fn int8_counts() -> (u64, u64) {
+    (ENGINE_INT8_CALLS.value(), ENGINE_INT8_MACS.value())
 }
 
 #[test]
 fn int8_gemm_records_stats() {
     let _g = counters_lock();
-    INT8_STATS.reset();
+    let (calls0, macs0) = int8_counts();
     let a = Matrix::from_fn(4, 8, |i, j| (i * 31 + j * 17) as i8);
     let b = Matrix::from_fn(8, 2, |i, j| (i * 13 + j * 7) as i8 - 60);
     let _ = int8_gemm(&a, &b);
-    assert_eq!(INT8_STATS.calls(), 1);
-    assert_eq!(INT8_STATS.macs(), 4 * 8 * 2);
+    let (calls, macs) = int8_counts();
+    assert_eq!(calls - calls0, 1);
+    assert_eq!(macs - macs0, 4 * 8 * 2);
 }
 
-#[test]
-fn lowfp_gemm_records_stats() {
-    let _g = counters_lock();
-    LOWFP_STATS.reset();
-    let a = Matrix::from_fn(2, 3, |_, _| F16::from_f32(1.0));
-    let b = Matrix::from_fn(3, 2, |_, _| F16::from_f32(1.0));
-    let _ = lowfp_gemm(&a, &b);
-    assert_eq!(LOWFP_STATS.calls(), 1);
-    assert_eq!(LOWFP_STATS.macs(), 12);
-}
-
-/// One residue GEMM on the AMX-INT8 kernel is one engine call in both
-/// counter families, however many stripes, depth windows and tile blocks
-/// the kernel splits it into.
+/// One residue GEMM on the AMX-INT8 kernel is one engine call, however
+/// many stripes, depth windows and tile blocks the kernel splits it into.
 #[test]
 fn an_amx_call_is_counted_exactly_once() {
     let kernel = microkernel_name();
@@ -53,7 +50,6 @@ fn an_amx_call_is_counted_exactly_once() {
         return;
     }
     let _g = counters_lock();
-    gemm_obs::set_enabled(true);
     // Two AMX depth windows (k > 1024), several stripes and ragged tiles.
     let (m, n, k) = (45usize, 70usize, 1500usize);
     let kp = padded_depth(k);
@@ -66,14 +62,11 @@ fn an_amx_call_is_counted_exactly_once() {
     let p = 251u64;
     let pinv = ((1u64 << 32) / p - 1) as u32;
 
-    let (calls0, macs0) = (ENGINE_INT8_CALLS.value(), ENGINE_INT8_MACS.value());
-    let (stats_calls0, stats_macs0) = (INT8_STATS.calls(), INT8_STATS.macs());
+    let (calls0, macs0) = int8_counts();
     Int8Backend.gemm_reduce(
         m, n, k, &apack, &bpack, kp, 0, &mut c, &mut u, p, pinv, None, true,
     );
-    let macs = (m * n * k) as u64;
-    assert_eq!(ENGINE_INT8_CALLS.value() - calls0, 1);
-    assert_eq!(ENGINE_INT8_MACS.value() - macs0, macs);
-    assert_eq!(INT8_STATS.calls() - stats_calls0, 1);
-    assert_eq!(INT8_STATS.macs() - stats_macs0, macs);
+    let (calls, macs) = int8_counts();
+    assert_eq!(calls - calls0, 1);
+    assert_eq!(macs - macs0, (m * n * k) as u64);
 }

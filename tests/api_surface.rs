@@ -1,19 +1,25 @@
 //! Public-API surface snapshot: the consolidation guard.
 //!
-//! PR 5 collapsed the combinatorial `dgemm`/`sgemm` × `try_` ×
-//! `_with_report` × `_ws` × `_into` growth into one element-generic
-//! view facade (`Ozaki2::gemm` / `gemm_into` + `GemmArgs` + the
-//! accuracy builder), keeping the named entries as thin wrappers. This
-//! test pins that state two ways:
+//! Each verb has one public entry: `gemm` / `gemm_into` (with
+//! `GemmArgs` carrying workspace, report sink, BLAS options and
+//! per-call overrides), `prepare(side, view)` and `execute(a, b, ...)`;
+//! `dgemm` / `sgemm` stay as the panicking owned-matrix conveniences.
+//! This test pins that state three ways:
 //!
 //! 1. the canonical items must exist and work (checked by using them);
 //! 2. the set of `pub fn`s on `impl Ozaki2` (scanned from source) must
 //!    equal the frozen whitelist below — adding a new named entry fails
 //!    this test, forcing the addition through the facade (or an explicit
-//!    whitelist change with review).
+//!    whitelist change with review);
+//! 3. the `ozaki2` crate-root `pub use` items must equal a second frozen
+//!    list, so a removed wrapper type or free function (an execution plan
+//!    type, a BLAS-order free function, a mixed-precision shim) cannot
+//!    come back through a re-export unnoticed.
 
 use gemm_dense::{MatView, MatViewMut};
-use ozaki2::{Accuracy, GemmArgs, GemmOut, Mode, Ozaki2, Ozaki2Builder};
+use ozaki2::{
+    Accuracy, GemmArgs, GemmOut, Mode, OperandInput, OperandSide, Ozaki2, Ozaki2Builder, Workspace,
+};
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -21,56 +27,151 @@ use std::path::Path;
 /// belong on the facade (`gemm`/`gemm_into` args) or the builder, not as
 /// new named methods.
 const OZAKI2_PUB_FNS: &[&str] = &[
-    // construction
+    // construction and configuration
     "new",
     "builder",
     "n_moduli",
     "mode",
     "fault_policy",
     "with_fault_policy",
-    // residue-backend selection (PR 10: multi-backend engine)
     "backend",
     "with_backend",
-    // the canonical facade
+    // gemm: the canonical facade and its owned-matrix conveniences
     "gemm",
     "gemm_into",
-    // named f64 wrappers (thin delegates, kept for ergonomics)
     "dgemm",
-    "try_dgemm",
-    "dgemm_with_report",
-    "try_dgemm_with_report",
-    "dgemm_ws",
-    "try_dgemm_with_report_ws",
-    "dgemm_into_ws",
-    "try_dgemm_into_ws",
-    // named f32 wrappers
     "sgemm",
-    "try_sgemm",
-    "sgemm_with_report",
-    "try_sgemm_with_report",
-    "sgemm_ws",
-    "try_sgemm_with_report_ws",
-    // BLAS-signature surface
-    "dgemm_blas",
-    "sgemm_blas",
-    // prepare/execute split (canonical view entries + delegating forms)
-    "prepare_a",
-    "try_prepare_a",
-    "try_prepare_a_view",
-    "try_prepare_a_slice",
-    "prepare_b",
-    "try_prepare_b",
-    "try_prepare_b_view",
-    "try_prepare_b_slice",
-    "try_prepare_a_f32",
-    "try_prepare_a_slice_f32",
-    "try_prepare_b_f32",
-    "try_prepare_b_slice_f32",
-    "execute_prepared",
-    "try_execute_prepared",
-    "try_execute_prepared_into_ws",
-    "try_execute_into_ws",
+    // prepare / execute
+    "prepare",
+    "execute",
 ];
+
+/// The `ozaki2` crate-root `pub use` items.
+const CRATE_ROOT_REEXPORTS: &[&str] = &[
+    // abft
+    "FaultEvent",
+    "FaultPolicy",
+    "FaultReport",
+    "RecoveryAction",
+    // accumulate
+    "fold_kernel_name",
+    "fold_planes",
+    "fold_span",
+    "fold_span_scalar",
+    "FoldPrecision",
+    // blas
+    "GemmOp",
+    // consts
+    "constants",
+    "constants_for",
+    "fma_constants",
+    "Constants",
+    // convert
+    "convert_kernel_name",
+    "convert_pack_panels",
+    "residue_planes",
+    "trunc_convert_pack_panels",
+    "ElemSlice",
+    "TruncSource",
+    // element
+    "Element",
+    // facade
+    "arithmetic_intensity",
+    "Accuracy",
+    "GemmArgs",
+    "GemmOut",
+    "Ozaki2Builder",
+    // dependencies
+    "BackendKind",
+    "TimeShare",
+    // mixed
+    "dgemm_dd",
+    // moduli
+    "backend_log2_p",
+    "backend_moduli",
+    "backend_n_max",
+    "backend_pool",
+    "fma_moduli",
+    "moduli",
+    "FMA_MODULI",
+    "MODULI",
+    "N_MAX",
+    "N_MAX_FMA",
+    "N_MAX_SGEMM",
+    // nselect
+    "auto_emulator",
+    "choose_n",
+    "choose_n_checked",
+    "choose_n_checked_for",
+    "choose_n_for",
+    "n_for_dgemm_level",
+    "n_for_sgemm_level",
+    "predicted_error",
+    "predicted_error_for",
+    // pipeline
+    "EmulationError",
+    "EmulationReport",
+    "Mode",
+    "Ozaki2",
+    "PhaseTimes",
+    "Workspace",
+    "K_BLOCK_MAX",
+    // prepared
+    "OperandInput",
+    "OperandSide",
+    "PreparedOperand",
+    // scale
+    "fast_scale_a_view",
+    "fast_scale_b_view",
+    "fast_scale_cols_slice",
+    "fast_scale_rows_slice",
+    "pow2_split",
+    "strunc_row",
+    "strunc_row_scalar",
+    "trunc_kernel_name",
+];
+
+/// Names a `pub use` statement brings into scope: the last path segment
+/// of each (possibly braced) import.
+fn pub_use_items(src: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut rest = src;
+    while let Some(at) = rest.find("\npub use ") {
+        let stmt_start = at + "\npub use ".len();
+        let stmt_len = rest[stmt_start..].find(';').expect("pub use ends with ;");
+        let stmt = &rest[stmt_start..stmt_start + stmt_len];
+        let list = match stmt.find('{') {
+            Some(open) => &stmt[open + 1..stmt.rfind('}').expect("closing brace")],
+            None => stmt,
+        };
+        for item in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+            found.push(item.rsplit("::").next().unwrap().to_string());
+        }
+        rest = &rest[stmt_start + stmt_len..];
+    }
+    found
+}
+
+/// `got` must equal `want` exactly, naming any difference.
+fn assert_frozen(got: Vec<String>, want: &[&str], what: &str) {
+    let got_set: BTreeSet<String> = got.iter().cloned().collect();
+    let want_set: BTreeSet<String> = want.iter().map(|s| s.to_string()).collect();
+    let unexpected: Vec<_> = got_set.difference(&want_set).collect();
+    let missing: Vec<_> = want_set.difference(&got_set).collect();
+    assert!(
+        unexpected.is_empty(),
+        "new {what} outside the consolidated surface: {unexpected:?}. Extend \
+         the facade (GemmArgs / builder) instead of adding named entries — or \
+         update the frozen list in tests/api_surface.rs deliberately."
+    );
+    assert!(
+        missing.is_empty(),
+        "frozen {what} disappeared: {missing:?} (breaking change — update \
+         tests/api_surface.rs deliberately)"
+    );
+    // Belt and braces: no duplicates, and never past the frozen size.
+    assert_eq!(got.len(), want.len(), "{what}: {got:?}");
+}
 
 /// Collect the `pub fn` names declared directly inside `impl Ozaki2 {`
 /// blocks of one source file (brace-depth scan; good enough for rustfmt'd
@@ -117,25 +218,18 @@ fn ozaki2_surface_matches_the_frozen_whitelist() {
         let src = std::fs::read_to_string(&path).expect("read source");
         got.extend(pub_fns_in_impl_ozaki2(&src));
     }
-    let got: BTreeSet<String> = got.into_iter().collect();
-    let want: BTreeSet<String> = OZAKI2_PUB_FNS.iter().map(|s| s.to_string()).collect();
+    assert_frozen(got, OZAKI2_PUB_FNS, "pub fn(s) on Ozaki2");
+}
 
-    let unexpected: Vec<_> = got.difference(&want).collect();
-    let missing: Vec<_> = want.difference(&got).collect();
-    assert!(
-        unexpected.is_empty(),
-        "new pub fn(s) on Ozaki2 outside the consolidated surface: \
-         {unexpected:?}. Extend the facade (GemmArgs / builder) instead of \
-         adding named entries — or update the whitelist in tests/api_surface.rs \
-         with reviewer sign-off."
+#[test]
+fn crate_root_reexports_match_the_frozen_list() {
+    let lib = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/lib.rs");
+    let src = std::fs::read_to_string(lib).expect("read crates/core/src/lib.rs");
+    assert_frozen(
+        pub_use_items(&src),
+        CRATE_ROOT_REEXPORTS,
+        "ozaki2 crate-root re-export(s)",
     );
-    assert!(
-        missing.is_empty(),
-        "whitelisted Ozaki2 entry points disappeared: {missing:?} \
-         (breaking change — update tests/api_surface.rs deliberately)"
-    );
-    // Belt and braces: the surface must never regrow past the frozen size.
-    assert_eq!(got.len(), OZAKI2_PUB_FNS.len());
 }
 
 #[test]
@@ -159,6 +253,19 @@ fn canonical_items_exist_and_compose() {
     let cview: MatViewMut<'_, f64> = MatViewMut::col_major(&mut cbuf, 8, 6);
     emu.gemm_into(GemmArgs::new(&a, &b), cview).unwrap();
     assert_eq!(&cbuf, out.c.as_slice());
+
+    // prepare / execute: a prepared B against a raw A, bit-identical.
+    let pb = emu.prepare(OperandSide::B, &b).unwrap();
+    let mut c = vec![0f64; 8 * 6];
+    emu.execute(
+        OperandInput::RawView(va),
+        OperandInput::Prepared(&pb),
+        &mut Workspace::new(),
+        true,
+        &mut c,
+    )
+    .unwrap();
+    assert_eq!(&c, out.c.as_slice());
 
     // Builder type is nameable (for APIs that store one).
     let _builder: Ozaki2Builder = Ozaki2::builder().accuracy(Accuracy::FixedN(8));

@@ -82,7 +82,7 @@ fn rejects_nan_and_inf_everywhere() {
         let mut bad = good.clone();
         bad[(3, 4)] = bad_val;
         let e = Ozaki2::new(8, Mode::Fast)
-            .try_dgemm(&bad, &good)
+            .gemm(GemmArgs::new(&bad, &good))
             .unwrap_err();
         assert_eq!(
             e,
@@ -92,7 +92,7 @@ fn rejects_nan_and_inf_everywhere() {
             }
         );
         let e = Ozaki2::new(8, Mode::Fast)
-            .try_dgemm(&good, &bad)
+            .gemm(GemmArgs::new(&good, &bad))
             .unwrap_err();
         assert_eq!(
             e,
@@ -240,7 +240,10 @@ fn facade_results_are_bit_identical_across_worker_counts() {
 fn report_phases_cover_total() {
     let a = phi_matrix_f64(48, 48, 0.5, 8, 0);
     let b = phi_matrix_f64(48, 48, 0.5, 8, 1);
-    let (_, rep) = Ozaki2::new(10, Mode::Fast).dgemm_with_report(&a, &b);
+    let rep = Ozaki2::new(10, Mode::Fast)
+        .gemm(GemmArgs::new(&a, &b))
+        .unwrap()
+        .report;
     let total = rep.phases.total();
     assert!(total.as_nanos() > 0);
     assert_eq!(rep.n_moduli, 10);
@@ -299,11 +302,17 @@ fn prepared_operands_never_cross_backends() {
     let b = phi_matrix_f64(20, 8, 0.5, 5, 1);
     let int8 = Ozaki2::new(8, Mode::Fast);
     let fma = Ozaki2::new(8, Mode::Fast).with_backend(BackendKind::FmaBf16);
-    let pa_int8 = int8.prepare_a(&a);
-    let pb_fma = fma.try_prepare_b(&b).expect("fma prepare");
+    let execute = |emu: &Ozaki2, pa: &PreparedOperand, pb: &PreparedOperand| {
+        let mut c = MatF64::zeros(pa.shape().0, pb.shape().1);
+        let (a_in, b_in) = (OperandInput::Prepared(pa), OperandInput::Prepared(pb));
+        emu.execute(a_in, b_in, &mut Workspace::new(), true, c.as_mut_slice())
+            .map(|_| c)
+    };
+    let pa_int8 = int8.prepare(OperandSide::A, &a).unwrap();
+    let pb_fma = fma.prepare(OperandSide::B, &b).expect("fma prepare");
     // Mixed pair on either executor: refused for the foreign side.
     for emu in [&int8, &fma] {
-        match emu.try_execute_prepared(&pa_int8, &pb_fma) {
+        match execute(emu, &pa_int8, &pb_fma) {
             Err(EmulationError::PreparedMismatch { reason }) => {
                 assert!(
                     reason.contains("backend"),
@@ -314,13 +323,13 @@ fn prepared_operands_never_cross_backends() {
         }
     }
     // Matched pairs still execute bit-identically to the monolithic path.
-    let pb_int8 = int8.prepare_b(&b);
+    let pb_int8 = int8.prepare(OperandSide::B, &b).unwrap();
     assert_eq!(
-        int8.execute_prepared(&pa_int8, &pb_int8),
+        execute(&int8, &pa_int8, &pb_int8).unwrap(),
         int8.dgemm(&a, &b)
     );
-    let pa_fma = fma.try_prepare_a(&a).expect("fma prepare");
-    assert_eq!(fma.execute_prepared(&pa_fma, &pb_fma), fma.dgemm(&a, &b));
+    let pa_fma = fma.prepare(OperandSide::A, &a).expect("fma prepare");
+    assert_eq!(execute(&fma, &pa_fma, &pb_fma).unwrap(), fma.dgemm(&a, &b));
 }
 
 /// FNV-1a over the bits of `Ozaki2` outputs: f64 and f32, fast and

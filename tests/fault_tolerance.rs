@@ -23,7 +23,7 @@
 
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_engine::faultinject::{self, FaultSite};
-use ozaki2::{FaultPolicy, GemmArgs, Mode, Ozaki2};
+use ozaki2::{FaultPolicy, GemmArgs, Mode, OperandInput, OperandSide, Ozaki2, Workspace};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -208,26 +208,37 @@ fn prepared_operands_have_no_panel_seam_and_recover() {
         .gemm(GemmArgs::new(&a, &b))
         .unwrap()
         .c;
-    let pa = emu.prepare_a(&a);
-    let pb = emu.prepare_b(&b);
+    let pa = emu.prepare(OperandSide::A, &a).unwrap();
+    let pb = emu.prepare(OperandSide::B, &b).unwrap();
+    let execute = || {
+        let mut c = vec![0f64; m * n];
+        let (a_in, b_in) = (OperandInput::Prepared(&pa), OperandInput::Prepared(&pb));
+        emu.execute(a_in, b_in, &mut Workspace::new(), true, &mut c)
+            .unwrap();
+        c
+    };
 
     // No Repackable side in the execution: the armed panel fault has no
     // seam to fire at and must still be pending afterwards.
     faultinject::arm_once(FaultSite::PanelA);
-    let got = emu.execute_prepared(&pa, &pb);
+    let got = execute();
     assert!(
         faultinject::armed_pending(),
         "prepared panels must not be an injection seam"
     );
     faultinject::disarm();
-    assert_eq!(got, reference);
+    assert_eq!(got, reference.as_slice());
 
     // Downstream faults are still caught and repaired.
     for site in [FaultSite::Acc, FaultSite::Residue] {
         faultinject::arm_once(site);
-        let got = emu.execute_prepared(&pa, &pb);
+        let got = execute();
         faultinject::disarm();
-        assert_eq!(got, reference, "{site:?} must recover bit-identically");
+        assert_eq!(
+            got,
+            reference.as_slice(),
+            "{site:?} must recover bit-identically"
+        );
     }
 }
 
