@@ -30,8 +30,11 @@ use crate::pipeline::{
     Ozaki2, PhaseTimes, Workspace, WsBuffers,
 };
 use crate::prepared::OperandSide;
+use crate::scale::row_chunk;
 use gemm_dense::{Layout, MatView, MatViewMut, Matrix};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -401,23 +404,67 @@ pub(crate) fn vectors_source<'s, T: Element>(
     }
 }
 
-/// Finiteness check over a view (contiguous fast path either layout).
-/// The error reports the operand `side` and the storage index of the
-/// first offending entry in the view's backing slice.
+/// Elements per branch-free block of the finiteness scan: the scan exits
+/// early only between blocks.
+const FINITE_BLOCK: usize = 4096;
+
+/// Whether every element of `v` is finite. Each storage segment (a column
+/// of a column-major view, a row of a row-major one) is scanned in
+/// branch-free [`FINITE_BLOCK`]s; from
+/// [`PARALLEL_MIN_ELEMS`](crate::scale::PARALLEL_MIN_ELEMS) elements on
+/// the segments split across the pool.
+fn all_finite<T: Element>(v: &MatView<'_, T>) -> bool {
+    let (segs, seg_len) = match v.layout() {
+        Layout::ColMajor => (v.cols(), v.rows()),
+        Layout::RowMajor => (v.rows(), v.cols()),
+    };
+    if segs == 0 || seg_len == 0 {
+        return true;
+    }
+    let (data, ld) = (v.data(), v.ld());
+    let segs_finite = |first: usize, count: usize| {
+        (first..first + count).all(|j| {
+            data[j * ld..][..seg_len]
+                .chunks(FINITE_BLOCK)
+                .all(|block| block.iter().fold(true, |ok, x| ok & x.is_finite_elem()))
+        })
+    };
+    let chunk = row_chunk(segs, seg_len);
+    if chunk >= segs {
+        return segs_finite(0, segs);
+    }
+    let bad = AtomicBool::new(false);
+    let starts: Vec<usize> = (0..segs).step_by(chunk).collect();
+    starts.into_par_iter().for_each(|first| {
+        if !bad.load(Ordering::Relaxed) && !segs_finite(first, chunk.min(segs - first)) {
+            bad.store(true, Ordering::Relaxed);
+        }
+    });
+    !bad.into_inner()
+}
+
+/// Finiteness check over a view: the error reports the operand `side` and
+/// the storage index of the first offending entry in the view's backing
+/// slice. The scan is [`all_finite`]; only an operand that fails it is
+/// searched again for that index.
 pub(crate) fn validate_view<T: Element>(
     v: &MatView<'_, T>,
     side: OperandSide,
 ) -> Result<(), EmulationError> {
+    if all_finite(v) {
+        return Ok(());
+    }
     let contiguous = v
         .as_col_major_slice()
         .or_else(|| v.t().as_col_major_slice());
     if let Some(s) = contiguous {
         // Either way the slice is the backing storage in order, so the
         // iteration position is the storage index.
-        return match s.iter().position(|x| !x.is_finite_elem()) {
-            None => Ok(()),
-            Some(index) => Err(EmulationError::NonFiniteInput { side, index }),
-        };
+        let index = s
+            .iter()
+            .position(|x| !x.is_finite_elem())
+            .expect("the scan found a non-finite entry");
+        return Err(EmulationError::NonFiniteInput { side, index });
     }
     for j in 0..v.cols() {
         for i in 0..v.rows() {
@@ -430,7 +477,7 @@ pub(crate) fn validate_view<T: Element>(
             }
         }
     }
-    Ok(())
+    unreachable!("the scan found a non-finite entry")
 }
 
 /// Estimated arithmetic intensity of the emulated product's engine phase:
@@ -634,6 +681,7 @@ impl Ozaki2Builder {
 mod tests {
     use super::*;
     use crate::moduli::N_MAX;
+    use crate::scale::PARALLEL_MIN_ELEMS;
     use gemm_dense::norms::max_relative_error;
     use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
     use gemm_dense::{MatF64, MatView};
@@ -813,6 +861,73 @@ mod tests {
                 index: 5,
             }
         );
+    }
+
+    /// Storage indices worth poisoning in a `segs x seg_len` operand: the
+    /// ends, both sides of a scan-block boundary, and both sides of the
+    /// first parallel task boundary (mid-operand on one worker).
+    fn poison_sites(segs: usize, seg_len: usize) -> Vec<usize> {
+        let chunk = row_chunk(segs, seg_len);
+        let task = if chunk < segs { chunk } else { segs / 2 } * seg_len;
+        let last = segs * seg_len - 1;
+        vec![0, FINITE_BLOCK - 1, FINITE_BLOCK, task - 1, task, last]
+    }
+
+    fn check_first_non_finite<T: Element>(poison: T) {
+        // 70 storage segments of 4500 elements: past the parallel
+        // threshold, each segment longer than one scan block, and the
+        // segment count off the task chunk.
+        let (segs, seg_len) = (70usize, 4500usize);
+        assert!(segs * seg_len >= PARALLEL_MIN_ELEMS && seg_len > FINITE_BLOCK);
+        let clean: Vec<T> = (0..segs * seg_len)
+            .map(|i| T::from_f64((i % 97) as f64 - 48.0))
+            .collect();
+        for layout in [Layout::ColMajor, Layout::RowMajor] {
+            let (rows, cols) = match layout {
+                Layout::ColMajor => (seg_len, segs),
+                Layout::RowMajor => (segs, seg_len),
+            };
+            let clean_view = MatView::new(&clean, rows, cols, seg_len, layout);
+            assert_eq!(validate_view(&clean_view, OperandSide::A), Ok(()));
+            for site in poison_sites(segs, seg_len) {
+                let mut data = clean.clone();
+                data[site] = poison;
+                // A later entry poisoned as well never masks the first.
+                let last = data.len() - 1;
+                if site < last {
+                    data[last] = poison;
+                }
+                let view = MatView::new(&data, rows, cols, seg_len, layout);
+                for side in [OperandSide::A, OperandSide::B] {
+                    assert_eq!(
+                        validate_view(&view, side),
+                        Err(EmulationError::NonFiniteInput { side, index: site }),
+                        "{layout:?} site {site}"
+                    );
+                }
+            }
+            // Non-finite junk in the leading-dimension gap is not part of
+            // the view.
+            let gapped: Vec<T> = (0..segs * (seg_len + 3))
+                .map(|i| {
+                    if i % (seg_len + 3) >= seg_len {
+                        poison
+                    } else {
+                        T::ONE
+                    }
+                })
+                .collect();
+            let v = MatView::new(&gapped, rows, cols, seg_len + 3, layout);
+            assert_eq!(validate_view(&v, OperandSide::B), Ok(()));
+        }
+    }
+
+    #[test]
+    fn parallel_validation_reports_the_first_storage_index() {
+        check_first_non_finite(f64::NAN);
+        check_first_non_finite(f64::NEG_INFINITY);
+        check_first_non_finite(f32::NAN);
+        check_first_non_finite(f32::INFINITY);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 
 use crate::consts::Constants;
 use crate::element::Element;
-use gemm_dense::{MatF64, MatView, Matrix};
+use gemm_dense::{Layout, MatF64, MatView, Matrix};
 use gemm_engine::int8_gemm;
 use gemm_exact::roundup;
+use rayon::prelude::*;
 
 /// `⌊log2 |x|⌋` for finite nonzero `x`, exact (bit manipulation, handles
 /// subnormals).
@@ -55,6 +56,125 @@ pub fn scale_by_pow2(x: f64, e: i32) -> f64 {
     }
 }
 
+/// Operands with fewer elements than this sweep their scale vectors and
+/// finiteness on the calling thread; larger ones split across the pool.
+/// (A 256³ operand is 65 536 elements, so serving-size requests stay
+/// serial.)
+pub(crate) const PARALLEL_MIN_ELEMS: usize = 1 << 18;
+
+/// Rows per task of a row-split sweep over an `m x k` operand: all of
+/// them (one serial task) below [`PARALLEL_MIN_ELEMS`] or on one worker,
+/// else about two tasks per worker, in multiples of 64 rows so the column
+/// slices each task reads start on whole cache lines of the source.
+pub(crate) fn row_chunk(m: usize, k: usize) -> usize {
+    let workers = rayon::current_num_threads();
+    if m.saturating_mul(k) < PARALLEL_MIN_ELEMS || workers <= 1 {
+        return m.max(1);
+    }
+    m.div_ceil(2 * workers).next_multiple_of(64)
+}
+
+/// Run `f(i0, out_chunk)` over disjoint row ranges of `out` (one entry per
+/// row of an `m x k` operand, `i0` the chunk's first row), split across the
+/// pool per [`row_chunk`]. Each row is produced by exactly one call, so the
+/// result never depends on the split. An empty operand makes no call.
+fn for_row_chunks<R: Send>(out: &mut [R], k: usize, f: impl Fn(usize, &mut [R]) + Sync) {
+    if out.is_empty() || k == 0 {
+        return;
+    }
+    let chunk = row_chunk(out.len(), k);
+    if chunk >= out.len() {
+        f(0, out);
+    } else {
+        out.par_chunks_mut(chunk)
+            .enumerate()
+            .for_each(|(c, rows)| f(c * chunk, rows));
+    }
+}
+
+/// `max_h |v_ih|` for rows `i0..i0 + out.len()` of `v`, ascending `h` per
+/// row. A column-major view streams each column's contiguous slice of the
+/// range; a row-major one reads each row contiguously.
+fn rows_max<T: Element>(v: &MatView<'_, T>, i0: usize, out: &mut [f64]) {
+    let (data, ld, k) = (v.data(), v.ld(), v.cols());
+    out.fill(0.0);
+    match v.layout() {
+        Layout::ColMajor => {
+            for h in 0..k {
+                let col = &data[h * ld + i0..][..out.len()];
+                for (rm, &x) in out.iter_mut().zip(col) {
+                    let ax = x.to_f64().abs();
+                    if ax > *rm {
+                        *rm = ax;
+                    }
+                }
+            }
+        }
+        Layout::RowMajor => {
+            for (r, rm) in out.iter_mut().enumerate() {
+                for &x in &data[(i0 + r) * ld..][..k] {
+                    let ax = x.to_f64().abs();
+                    if ax > *rm {
+                        *rm = ax;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Row maxima `max_h |v_ih|` of every row of `v`, row-split across the
+/// pool above [`PARALLEL_MIN_ELEMS`].
+fn row_maxima<T: Element>(v: &MatView<'_, T>) -> Vec<f64> {
+    let mut out = vec![0.0f64; v.rows()];
+    for_row_chunks(&mut out, v.cols(), |i0, rows| rows_max(v, i0, rows));
+    out
+}
+
+/// Fast-mode exponents for rows `i0..i0 + out.len()` of `v` (see
+/// [`fast_scale_a_view`]): the row maxima, then `Σ_h (v_ih · 2^-m_i)²` in
+/// ascending `h`, in the same column-slice or contiguous-row order.
+fn fast_scale_row_range<T: Element>(v: &MatView<'_, T>, i0: usize, budget: f64, out: &mut [i32]) {
+    let (data, ld, k) = (v.data(), v.ld(), v.cols());
+    let rows = out.len();
+    let mut row_max = vec![0.0f64; rows];
+    rows_max(v, i0, &mut row_max);
+    let m_exp: Vec<i32> = row_max
+        .iter()
+        .map(|&r| if r == 0.0 { 0 } else { ilog2_abs(r) })
+        .collect();
+    let inv_scale: Vec<f64> = m_exp.iter().map(|&e| scale_by_pow2(1.0, -e)).collect();
+    let mut norm_sq = vec![0.0f64; rows];
+    match v.layout() {
+        Layout::ColMajor => {
+            for h in 0..k {
+                let col = &data[h * ld + i0..][..rows];
+                for ((ns, &s), &x) in norm_sq.iter_mut().zip(&inv_scale).zip(col) {
+                    let t = x.to_f64() * s;
+                    *ns += t * t;
+                }
+            }
+        }
+        Layout::RowMajor => {
+            for (r, (ns, &s)) in norm_sq.iter_mut().zip(&inv_scale).enumerate() {
+                for &x in &data[(i0 + r) * ld..][..k] {
+                    let t = x.to_f64() * s;
+                    *ns += t * t;
+                }
+            }
+        }
+    }
+    for (((e, &ns), &me), &rm) in out.iter_mut().zip(&norm_sq).zip(&m_exp).zip(&row_max) {
+        *e = if rm == 0.0 {
+            0
+        } else {
+            let upper = roundup::inflate(ns, k);
+            let t = (0.51 * upper.log2()).max(1.0);
+            (budget - t).floor() as i32 - me
+        };
+    }
+}
+
 /// Per-row fast-mode scale exponents for `A` (`μ_i = 2^{e_i}`).
 ///
 /// Implements `e_i = ⌊budget − max(1, 0.51·log2 Σ_h ã_ih²)⌋ − m_i` where
@@ -62,8 +182,7 @@ pub fn scale_by_pow2(x: f64, e: i32) -> f64 {
 /// (the normalisation keeps the sum of squares in `[1, 4k]`, immune to
 /// overflow, exactly as the paper's formula is structured).
 pub fn fast_scale_rows(a: &MatF64, budget: f64) -> Vec<i32> {
-    let (m, k) = a.shape();
-    fast_scale_rows_slice(a.as_slice(), m, k, budget)
+    fast_scale_a_view(&a.view(), budget)
 }
 
 /// [`fast_scale_rows`] over a raw column-major `m x k` slice (vector `h` of
@@ -71,50 +190,12 @@ pub fn fast_scale_rows(a: &MatF64, budget: f64) -> Vec<i32> {
 /// runtime's strided batches use. Bit-identical to the matrix form.
 pub fn fast_scale_rows_slice(data: &[f64], m: usize, k: usize, budget: f64) -> Vec<i32> {
     assert!(data.len() >= m * k, "operand slice too short");
-    let mut row_max = vec![0.0f64; m];
-    for h in 0..k {
-        for (rm, &x) in row_max.iter_mut().zip(&data[h * m..(h + 1) * m]) {
-            let ax = x.abs();
-            if ax > *rm {
-                *rm = ax;
-            }
-        }
-    }
-    let m_exp: Vec<i32> = row_max
-        .iter()
-        .map(|&r| if r == 0.0 { 0 } else { ilog2_abs(r) })
-        .collect();
-    let inv_scale: Vec<f64> = m_exp.iter().map(|&e| scale_by_pow2(1.0, -e)).collect();
-    let mut norm_sq = vec![0.0f64; m];
-    for h in 0..k {
-        for ((ns, &s), &x) in norm_sq
-            .iter_mut()
-            .zip(&inv_scale)
-            .zip(&data[h * m..(h + 1) * m])
-        {
-            let t = x * s;
-            *ns += t * t;
-        }
-    }
-    norm_sq
-        .iter()
-        .zip(&m_exp)
-        .zip(&row_max)
-        .map(|((&ns, &me), &rm)| {
-            if rm == 0.0 {
-                return 0;
-            }
-            let upper = roundup::inflate(ns, k);
-            let t = (0.51 * upper.log2()).max(1.0);
-            (budget - t).floor() as i32 - me
-        })
-        .collect()
+    fast_scale_a_view(&MatView::col_major(&data[..m * k], m, k), budget)
 }
 
 /// Per-column fast-mode scale exponents for `B` (`ν_j = 2^{e_j}`).
 pub fn fast_scale_cols(b: &MatF64, budget: f64) -> Vec<i32> {
-    let (k, n) = b.shape();
-    fast_scale_cols_slice(b.as_slice(), k, n, budget)
+    fast_scale_b_view(&b.view(), budget)
 }
 
 /// [`fast_scale_cols`] over a raw column-major `k x n` slice (column `j` at
@@ -122,84 +203,28 @@ pub fn fast_scale_cols(b: &MatF64, budget: f64) -> Vec<i32> {
 /// strided batches use. Bit-identical to the matrix form.
 pub fn fast_scale_cols_slice(data: &[f64], k: usize, n: usize, budget: f64) -> Vec<i32> {
     assert!(data.len() >= k * n, "operand slice too short");
-    (0..n)
-        .map(|j| {
-            let col = &data[j * k..(j + 1) * k];
-            let cm = col.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
-            if cm == 0.0 {
-                return 0;
-            }
-            let me = ilog2_abs(cm);
-            let s = scale_by_pow2(1.0, -me);
-            let upper = roundup::sum_sq_upper(col.iter().map(|&x| x * s));
-            let t = (0.51 * upper.log2()).max(1.0);
-            (budget - t).floor() as i32 - me
-        })
-        .collect()
+    fast_scale_b_view(&MatView::col_major(&data[..k * n], k, n), budget)
 }
 
 /// [`fast_scale_rows`] over a borrowed strided operand view (any layout,
 /// leading dimension, or transpose; f64 or exactly widened f32): per-row
 /// scale exponents for the view's **logical** elements, with zero
-/// materialization. Bit-identical to [`fast_scale_rows_slice`] on a
-/// column-major copy — every row's maxima and norm accumulation run in
-/// the same ascending-`h` order, and f32 widening is exact.
+/// materialization. Every row's maximum and norm accumulate in ascending
+/// `h` (f32 widening is exact), whatever the layout and however the rows
+/// are split across the pool, so the exponents never depend on either.
 pub fn fast_scale_a_view<T: Element>(a: &MatView<'_, T>, budget: f64) -> Vec<i32> {
-    let (m, k) = a.shape();
-    let mut row_max = vec![0.0f64; m];
-    for h in 0..k {
-        for (i, rm) in row_max.iter_mut().enumerate() {
-            let ax = a.get(i, h).to_f64().abs();
-            if ax > *rm {
-                *rm = ax;
-            }
-        }
-    }
-    let m_exp: Vec<i32> = row_max
-        .iter()
-        .map(|&r| if r == 0.0 { 0 } else { ilog2_abs(r) })
-        .collect();
-    let inv_scale: Vec<f64> = m_exp.iter().map(|&e| scale_by_pow2(1.0, -e)).collect();
-    let mut norm_sq = vec![0.0f64; m];
-    for h in 0..k {
-        for (i, (ns, &s)) in norm_sq.iter_mut().zip(&inv_scale).enumerate() {
-            let t = a.get(i, h).to_f64() * s;
-            *ns += t * t;
-        }
-    }
-    norm_sq
-        .iter()
-        .zip(&m_exp)
-        .zip(&row_max)
-        .map(|((&ns, &me), &rm)| {
-            if rm == 0.0 {
-                return 0;
-            }
-            let upper = roundup::inflate(ns, k);
-            let t = (0.51 * upper.log2()).max(1.0);
-            (budget - t).floor() as i32 - me
-        })
-        .collect()
+    let mut exps = vec![0i32; a.rows()];
+    for_row_chunks(&mut exps, a.cols(), |i0, rows| {
+        fast_scale_row_range(a, i0, budget, rows)
+    });
+    exps
 }
 
-/// [`fast_scale_cols`] over a borrowed strided operand view — the
-/// column-side counterpart of [`fast_scale_a_view`], bit-identical to
-/// [`fast_scale_cols_slice`] on a column-major copy.
+/// [`fast_scale_cols`] over a borrowed strided operand view: the columns
+/// of `b` are the rows of its zero-copy transpose, so this is
+/// [`fast_scale_a_view`] of `b.t()`.
 pub fn fast_scale_b_view<T: Element>(b: &MatView<'_, T>, budget: f64) -> Vec<i32> {
-    let (k, n) = b.shape();
-    (0..n)
-        .map(|j| {
-            let cm = (0..k).fold(0.0f64, |acc, h| acc.max(b.get(h, j).to_f64().abs()));
-            if cm == 0.0 {
-                return 0;
-            }
-            let me = ilog2_abs(cm);
-            let s = scale_by_pow2(1.0, -me);
-            let upper = roundup::sum_sq_upper((0..k).map(|h| b.get(h, j).to_f64() * s));
-            let t = (0.51 * upper.log2()).max(1.0);
-            (budget - t).floor() as i32 - me
-        })
-        .collect()
+    fast_scale_a_view(&b.t(), budget)
 }
 
 /// Accurate-mode scale exponents for both operands (§4.2).
@@ -224,22 +249,12 @@ pub fn accurate_scale_view<T: Element>(
     assert_eq!(k, kb);
 
     // μ'_i = 2^{5 - ⌊log2 max_h |a_ih|⌋}: scales the row max into [32, 64).
-    let mut row_max = vec![0.0f64; m];
-    for h in 0..k {
-        for (i, rm) in row_max.iter_mut().enumerate() {
-            let ax = a.get(i, h).to_f64().abs();
-            if ax > *rm {
-                *rm = ax;
-            }
-        }
-    }
+    let row_max = row_maxima(a);
     let mu_prime: Vec<i32> = row_max
         .iter()
         .map(|&r| if r == 0.0 { 0 } else { 5 - ilog2_abs(r) })
         .collect();
-    let col_max: Vec<f64> = (0..n)
-        .map(|j| (0..k).fold(0.0f64, |acc, h| acc.max(b.get(h, j).to_f64().abs())))
-        .collect();
+    let col_max = row_maxima(&b.t());
     let nu_prime: Vec<i32> = col_max
         .iter()
         .map(|&c| if c == 0.0 { 0 } else { 5 - ilog2_abs(c) })
@@ -697,6 +712,70 @@ mod tests {
                 "e={e}"
             );
         }
+    }
+
+    /// The fast-mode exponent of one vector, straight from the formula:
+    /// the oracle the row-split sweeps are held to.
+    fn fast_exp_oracle(xs: impl Iterator<Item = f64> + Clone, budget: f64) -> i32 {
+        let rm = xs.clone().fold(0.0f64, |acc, x| acc.max(x.abs()));
+        if rm == 0.0 {
+            return 0;
+        }
+        let me = ilog2_abs(rm);
+        let s = scale_by_pow2(1.0, -me);
+        let upper = roundup::sum_sq_upper(xs.map(|x| x * s));
+        (budget - (0.51 * upper.log2()).max(1.0)).floor() as i32 - me
+    }
+
+    /// A `rows x cols` operand above the parallel threshold with a zero row
+    /// and per-row exponents spread over `±spread` binades.
+    fn spread_operand(rows: usize, cols: usize, spread: i32) -> Matrix<f64> {
+        Matrix::from_fn(rows, cols, |i, j| {
+            if i == 3 {
+                return 0.0;
+            }
+            let x = ((i * 7919 + j * 104_729) % 1_000_003) as f64 / 1_000_003.0 - 0.5;
+            scale_by_pow2(x, (i as i32 * 37) % (2 * spread + 1) - spread)
+        })
+    }
+
+    #[test]
+    fn row_split_scales_match_the_oracle_above_the_threshold() {
+        // 515 rows: not a multiple of the 64-row chunk; 515·600 elements
+        // put every sweep on its parallel path whenever the pool has more
+        // than one worker (OZAKI_WORKERS=1 runs the serial sweeps).
+        let (m, k, budget) = (515usize, 600usize, 40.0);
+        assert!(m * k >= PARALLEL_MIN_ELEMS);
+        let a64 = spread_operand(m, k, 900);
+        let a32 = spread_operand(m, k, 100).map(|x| x as f32);
+        let want64: Vec<i32> = (0..m)
+            .map(|i| fast_exp_oracle((0..k).map(|h| a64[(i, h)]), budget))
+            .collect();
+        let want32: Vec<i32> = (0..m)
+            .map(|i| fast_exp_oracle((0..k).map(|h| a32[(i, h)] as f64), budget))
+            .collect();
+        assert_eq!(want64[3], 0, "the zero row keeps the neutral scale");
+        let rm64 = a64.transpose();
+        let rm32 = a32.transpose();
+        // A's rows: column-major (gathered), row-major (contiguous),
+        // and the raw-slice entry.
+        assert_eq!(fast_scale_a_view(&a64.view(), budget), want64);
+        assert_eq!(fast_scale_a_view(&rm64.view().t(), budget), want64);
+        assert_eq!(fast_scale_rows_slice(a64.as_slice(), m, k, budget), want64);
+        assert_eq!(fast_scale_a_view(&a32.view(), budget), want32);
+        assert_eq!(fast_scale_a_view(&rm32.view().t(), budget), want32);
+        // B's columns are the same vectors.
+        assert_eq!(fast_scale_b_view(&rm64.view(), budget), want64);
+        assert_eq!(fast_scale_b_view(&a64.view().t(), budget), want64);
+        assert_eq!(fast_scale_cols_slice(rm64.as_slice(), k, m, budget), want64);
+        assert_eq!(fast_scale_b_view(&rm32.view(), budget), want32);
+        assert_eq!(fast_scale_b_view(&a32.view().t(), budget), want32);
+        // Accurate mode's row maxima share the sweep.
+        let maxima: Vec<f64> = (0..m)
+            .map(|i| (0..k).fold(0.0f64, |acc, h| acc.max(a64[(i, h)].abs())))
+            .collect();
+        assert_eq!(row_maxima(&a64.view()), maxima);
+        assert_eq!(row_maxima(&rm64.view().t()), maxima);
     }
 
     #[test]
