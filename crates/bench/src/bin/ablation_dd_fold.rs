@@ -28,11 +28,12 @@ fn main() {
     .collect();
     let mut rows = Vec::new();
     for nmod in [12usize, 15, 18, 20] {
+        let emu = Ozaki2::new(nmod, Mode::Fast);
         let t0 = Instant::now();
-        let plain = Ozaki2::new(nmod, Mode::Fast).dgemm(&a, &b);
+        let plain = emu.dgemm(&a, &b);
         let t_plain = t0.elapsed().as_secs_f64() * 1e3;
         let t0 = Instant::now();
-        let dd = dgemm_dd(&a, &b, nmod, Mode::Fast).expect("finite operands, N in range");
+        let dd = dgemm_dd(&emu, &a, &b).expect("finite operands of matching shapes");
         let t_dd = t0.elapsed().as_secs_f64() * 1e3;
 
         let e_plain = max_rel_error_vs_dd(&plain, &oracle).max(1e-40);

@@ -42,19 +42,15 @@
 //! against, so a successful recovery reproduces the fault-free result
 //! bit-identically.
 
-use crate::consts::Constants;
 use crate::convert::{trunc_convert_pack_panels, TruncSource};
 use crate::element::Element;
 use crate::facade::vectors_source;
-use crate::modred::finalize_block_residues;
-use crate::pipeline::PhaseTimes;
+use crate::pipeline::{plane_gemm, PlaneBufs, Planes};
 use crate::prepared::OperandSide;
 use gemm_dense::MatView;
 use gemm_engine::faultinject::{self, FaultSite};
-use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, ResidueBackend, NR};
-use std::sync::atomic::{AtomicU64, Ordering};
+use gemm_engine::{padded_a_rows, padded_b_cols, NR};
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Policy and report types
@@ -240,9 +236,8 @@ impl<'a> PanelsRef<'a> {
 
     /// Deterministically rebuild the panels from the source operand
     /// (no-op for [`PanelsRef::Fixed`]). The sweep is bit-reproducible,
-    /// so untouched planes come back identical and previously built
-    /// checksums stay valid.
-    fn repack(&mut self, k: usize, kp: usize, consts: &Constants, b64: bool) {
+    /// so untouched planes come back identical.
+    fn repack(&mut self, st: &Planes<'_>) {
         if let PanelsRef::Repackable {
             panels,
             src,
@@ -250,6 +245,7 @@ impl<'a> PanelsRef<'a> {
             vecs_pad,
         } = self
         {
+            let (k, kp, consts, b64) = (st.k, st.kp, st.consts, st.b64);
             trunc_convert_pack_panels(
                 *src, *vecs, *vecs_pad, k, kp, consts, b64, false, panels, None,
             );
@@ -509,67 +505,14 @@ fn verify_plane(
 }
 
 // ---------------------------------------------------------------------------
-// GEMM helpers
+// The residue loop's ABFT hook
 // ---------------------------------------------------------------------------
 
-/// One residue-plane GEMM (or column-stripe thereof) with fused mod-`p`
-/// reduction on `engine`, k-blocking transparently applied at the
-/// pool-derived `k_block` depth. `a_panels` / `b_panels` start at the
-/// operand's (sub)panel origin; `u_out` is the `m * n` destination.
-/// Returns the number of engine calls issued.
-#[allow(clippy::too_many_arguments)]
-fn plane_gemm(
-    engine: &dyn ResidueBackend,
-    k_block: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    kp: usize,
-    p: u64,
-    pinv: u32,
-    a_panels: &[i16],
-    b_panels: &[i16],
-    c32: &mut [i32],
-    racc: &mut [i32],
-    u_out: &mut [u8],
-    parallel: bool,
-    mod_nanos: Option<&AtomicU64>,
-) -> usize {
-    let c32 = &mut c32[..m * n];
-    if k <= k_block {
-        engine.gemm_reduce(
-            m, n, k, a_panels, b_panels, kp, 0, c32, u_out, p, pinv, mod_nanos, parallel,
-        );
-        1
-    } else {
-        let racc = &mut racc[..m * n];
-        racc.fill(0);
-        let mut calls = 0usize;
-        let mut h0 = 0usize;
-        while h0 < k {
-            let kb = k_block.min(k - h0);
-            engine.gemm_accumulate(
-                m, n, kb, a_panels, b_panels, kp, h0, c32, racc, p, pinv, mod_nanos, parallel,
-            );
-            calls += 1;
-            h0 += kb;
-        }
-        finalize_block_residues(racc, p, pinv, u_out);
-        calls
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The fault-tolerant executor
-// ---------------------------------------------------------------------------
-
-/// The back half's workspace scratch (the non-panel, non-staging slices
-/// of [`crate::pipeline::WsBuffers`]): residue planes, INT32 product,
-/// block accumulator, and the ABFT buffers [`execute_panels_ft`] uses.
-pub(crate) struct FtScratch<'w> {
-    pub u: &'w mut [u8],
-    pub c32: &'w mut [i32],
-    pub racc: &'w mut [i32],
+/// The ABFT side-channel buffers of a [`crate::Workspace`], for the plane
+/// in flight: the checksum vectors of `A` and `B` (`kp` i16 each), the
+/// checksum references (`m` row-sum then `n` column-sum residues), the i32
+/// checksum accumulator and the verification sweep's row sums.
+pub(crate) struct AbftBufs<'w> {
     pub chk_a16: &'w mut [i16],
     pub chk_b16: &'w mut [i16],
     pub uchk: &'w mut [u8],
@@ -577,376 +520,183 @@ pub(crate) struct FtScratch<'w> {
     pub vsum: &'w mut [u32],
 }
 
-/// Algorithm 1 lines 6–12 under an active [`FaultPolicy`]: the
-/// fault-tolerant sibling of [`crate::pipeline::residue_stage`] plus the
-/// fold. Per plane: captures the checksum vectors and both reference
-/// products (`A'_s · chk_b` for the row axis, `chk_a · B'_s` for the column
-/// axis) from the pristine panels, runs the plane's GEMM, verifies, and
-/// recovers per the policy; then folds. Returns
-/// `(int8_gemm_calls, FaultReport)` — recovery re-runs and checksum
-/// products are counted in the report, not in the main call count.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute_panels_ft(
-    m: usize,
-    n: usize,
-    k: usize,
-    consts: &Constants,
-    b64: bool,
-    engine: &dyn ResidueBackend,
-    mut a: PanelsRef<'_>,
-    mut b: PanelsRef<'_>,
-    exps_a: &[i32],
-    exps_b: &[i32],
-    scratch: FtScratch<'_>,
-    parallel: bool,
+/// The per-plane hook [`crate::pipeline::residue_stage`] runs under an
+/// active [`FaultPolicy`]: before each plane's GEMM it captures the
+/// checksum vectors and both reference products (`A'_s · chk_b` for the
+/// row axis, `chk_a · B'_s` for the column axis) from the pristine panels
+/// and runs the panel fault seams; after it, the residue seam, the
+/// verification and the policy's recovery. It collects the call's
+/// [`FaultReport`] — recovery re-runs and checksum products are counted
+/// there, not in the main GEMM count.
+pub(crate) struct Abft<'w> {
     policy: FaultPolicy,
-    out: &mut [f64],
-    phases: &mut PhaseTimes,
-) -> (usize, FaultReport) {
-    let nmod = consts.n;
-    let plane = m * n;
-    let kp = padded_depth(k);
-    let m_pad = padded_a_rows(m);
-    let n_pad = padded_b_cols(n);
-    let k_block = engine.k_block_max(consts.p[0]);
-    let mut gemm_calls = 0usize;
-    let mut report = FaultReport::default();
+    bufs: AbftBufs<'w>,
+    report: FaultReport,
+    /// Env-rate fault injection only fires inside this protected region:
+    /// raw engine calls elsewhere (kernel parity tests, benches, the `Off`
+    /// pipeline) have no ABFT to catch a flip, so they stay clean even
+    /// when CI runs the whole suite with `OZAKI_FAULT_INJECT` set.
+    _region: faultinject::RegionGuard,
+}
 
-    // Env-rate fault injection only fires inside this protected region:
-    // raw engine calls elsewhere (kernel parity tests, benches) have no
-    // ABFT to catch a flip, so they stay clean even when CI runs the
-    // whole suite with OZAKI_FAULT_INJECT set.
-    let _region = faultinject::region();
-
-    let FtScratch {
-        u,
-        c32,
-        racc,
-        chk_a16,
-        chk_b16,
-        uchk,
-        chk_sum,
-        vsum,
-    } = scratch;
-    let u = &mut u[..nmod * plane];
-
-    // ---- Per-plane: capture, seams, GEMM, verify, recover ----------------
-    let mod_nanos = AtomicU64::new(0);
-    for s in 0..nmod {
-        let p = consts.p[s];
-        let pinv = consts.p_inv_u32[s];
-        let a_lo = s * m_pad * kp;
-        let b_lo = s * n_pad * kp;
-
-        // Checksum capture + references, from the pristine panels, right
-        // before this plane's GEMM: the reference sweeps stream the
-        // plane's panels into cache, which the GEMM then reads warm — so
-        // the side channel largely pays for its own memory traffic.
-        let tv = Instant::now();
-        report.checksum_gemms += checksum_refs(
-            &a.panels()[a_lo..a_lo + m_pad * kp],
-            &b.panels()[b_lo..b_lo + n_pad * kp],
-            m,
-            n,
-            kp,
-            p,
-            &mut chk_a16[s * kp..(s + 1) * kp],
-            &mut chk_b16[s * kp..(s + 1) * kp],
-            chk_sum,
-            &mut uchk[s * (m + n)..(s + 1) * (m + n)],
-        );
-        phases.verify += tv.elapsed();
-
-        // Panel fault seams: after this plane's checksum capture, so a
-        // flipped panel byte shows up as a checksum mismatch downstream.
-        // Prepared (Fixed) panels are deliberately not a seam — they are
-        // the trusted source recovery recomputes from.
-        if let PanelsRef::Repackable { panels, .. } = &mut a {
-            faultinject::corrupt_panel(FaultSite::PanelA, &mut panels[a_lo..a_lo + m_pad * kp]);
+impl<'w> Abft<'w> {
+    pub(crate) fn new(policy: FaultPolicy, bufs: AbftBufs<'w>) -> Self {
+        debug_assert!(policy.is_active());
+        Self {
+            policy,
+            bufs,
+            report: FaultReport::default(),
+            _region: faultinject::region(),
         }
-        if let PanelsRef::Repackable { panels, .. } = &mut b {
-            faultinject::corrupt_panel(FaultSite::PanelB, &mut panels[b_lo..b_lo + n_pad * kp]);
+    }
+
+    /// The outcome, closing the protected region.
+    pub(crate) fn into_report(self) -> FaultReport {
+        self.report
+    }
+
+    /// Before plane `s`'s GEMM: the checksum capture, right before the
+    /// GEMM — the reference sweeps stream the plane's panels into cache,
+    /// which the GEMM then reads warm, so the side channel largely pays for
+    /// its own memory traffic — then the panel fault seams, after the
+    /// capture, so a flipped panel byte shows up as a checksum mismatch
+    /// downstream. Prepared (`Fixed`) panels are deliberately not a seam:
+    /// they are the trusted source recovery recomputes from.
+    pub(crate) fn before_plane(
+        &mut self,
+        st: &Planes<'_>,
+        s: usize,
+        a: &mut PanelsRef<'_>,
+        b: &mut PanelsRef<'_>,
+    ) {
+        self.capture(st, s, a.panels(), b.panels());
+        if let PanelsRef::Repackable { panels, .. } = a {
+            faultinject::corrupt_panel(FaultSite::PanelA, &mut panels[st.a_range(s)]);
         }
+        if let PanelsRef::Repackable { panels, .. } = b {
+            faultinject::corrupt_panel(FaultSite::PanelB, &mut panels[st.b_range(s)]);
+        }
+    }
 
-        // Main plane GEMM (timed as the regular int8/mod phases).
-        let t0 = Instant::now();
-        gemm_calls += plane_gemm(
-            engine,
-            k_block,
-            m,
-            n,
-            k,
-            kp,
-            p,
-            pinv,
-            &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-            &b.panels()[s * n_pad * kp..(s + 1) * n_pad * kp],
-            c32,
-            racc,
-            &mut u[s * plane..(s + 1) * plane],
-            parallel,
-            Some(&mod_nanos),
-        );
-        let total = t0.elapsed();
-        let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-        phases.mod_reduce += modd;
-        phases.int8_gemm += total.saturating_sub(modd);
-
-        // Residue-plane fault seam (post-GEMM, pre-verification).
-        faultinject::corrupt_residue(&mut u[s * plane..(s + 1) * plane]);
-
-        // Side channel: verification + recovery.
-        let tv = Instant::now();
+    /// After plane `s`'s GEMM: the residue fault seam, then verify the
+    /// plane and recover per the policy until it verifies or the policy
+    /// gives up.
+    pub(crate) fn after_plane(
+        &mut self,
+        st: &Planes<'_>,
+        s: usize,
+        a: &mut PanelsRef<'_>,
+        b: &mut PanelsRef<'_>,
+        bufs: &mut PlaneBufs<'_>,
+    ) {
+        let (m, n) = (st.m, st.n);
+        let plane = s * m * n..(s + 1) * m * n;
+        faultinject::corrupt_residue(&mut bufs.u[plane.clone()]);
         let mut attempt = 0u8;
         let mut scalar_done = false;
         loop {
             let ver = verify_plane(
-                &u[s * plane..(s + 1) * plane],
-                &uchk[s * (m + n)..s * (m + n) + m],
-                &uchk[s * (m + n) + m..(s + 1) * (m + n)],
+                &bufs.u[plane.clone()],
+                &self.bufs.uchk[..m],
+                &self.bufs.uchk[m..m + n],
                 m,
                 n,
-                p as u32,
-                vsum,
+                st.consts.p[s] as u32,
+                self.bufs.vsum,
             );
             if ver.clean() {
-                break;
+                return;
             }
-            report.detected += 1;
-            match policy {
-                FaultPolicy::Off => unreachable!("ft executor only runs under an active policy"),
+            self.report.detected += 1;
+            let (max_retries, scalar) = match self.policy {
+                FaultPolicy::Off => unreachable!("the hook only runs under an active policy"),
                 FaultPolicy::Detect => {
-                    report.events.push(FaultEvent {
-                        plane: s,
-                        columns: ver.cols,
-                        action: RecoveryAction::Detected,
-                    });
-                    break;
+                    self.log(s, ver.cols, RecoveryAction::Detected);
+                    return;
                 }
-                FaultPolicy::Retry { max_retries }
-                | FaultPolicy::RetryThenScalar { max_retries } => {
-                    let scalar_next = matches!(policy, FaultPolicy::RetryThenScalar { .. })
-                        && attempt >= max_retries;
-                    if attempt >= max_retries && !scalar_next || scalar_done {
-                        report.unrecovered += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: ver.cols,
-                            action: RecoveryAction::Unrecovered,
-                        });
-                        break;
-                    }
-                    // All recovery runs with injection suppressed and on
-                    // the calling thread, so the thread-local guards hold.
-                    let _quiet = faultinject::suppress();
-                    if scalar_next {
-                        let _scalar = faultinject::scalar_scope();
-                        full_repair(
-                            engine,
-                            k_block,
-                            s,
-                            m,
-                            n,
-                            k,
-                            kp,
-                            consts,
-                            b64,
-                            &mut a,
-                            &mut b,
-                            chk_a16,
-                            chk_b16,
-                            m_pad,
-                            n_pad,
-                            u,
-                            c32,
-                            racc,
-                            chk_sum,
-                            uchk,
-                            &mut report,
-                        );
-                        report.scalar_fallbacks += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: ver.cols,
-                            action: RecoveryAction::ScalarFallback,
-                        });
-                        scalar_done = true;
-                    } else if attempt == 0 && ver.localized() {
-                        // Fault is in the residue plane itself: re-run
-                        // just the NR-aligned stripe covering the
-                        // mismatching columns, from the (good) panels.
-                        let (jlo, jhi) = ver.cols.expect("localized implies cols");
-                        let c0 = (jlo / NR) * NR;
-                        let c1 = n.min((jhi / NR + 1) * NR);
-                        plane_gemm(
-                            engine,
-                            k_block,
-                            m,
-                            c1 - c0,
-                            k,
-                            kp,
-                            p,
-                            pinv,
-                            &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-                            &b.panels()[s * n_pad * kp + c0 * kp..(s + 1) * n_pad * kp],
-                            c32,
-                            racc,
-                            &mut u[s * plane + c0 * m..s * plane + c1 * m],
-                            false,
-                            None,
-                        );
-                        report.retries += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: Some((c0, c1 - 1)),
-                            action: RecoveryAction::StripeRetry,
-                        });
-                        attempt += 1;
-                    } else {
-                        full_repair(
-                            engine,
-                            k_block,
-                            s,
-                            m,
-                            n,
-                            k,
-                            kp,
-                            consts,
-                            b64,
-                            &mut a,
-                            &mut b,
-                            chk_a16,
-                            chk_b16,
-                            m_pad,
-                            n_pad,
-                            u,
-                            c32,
-                            racc,
-                            chk_sum,
-                            uchk,
-                            &mut report,
-                        );
-                        report.retries += 1;
-                        report.events.push(FaultEvent {
-                            plane: s,
-                            columns: ver.cols,
-                            action: RecoveryAction::FullRepair,
-                        });
-                        attempt += 1;
-                    }
-                }
+                FaultPolicy::Retry { max_retries } => (max_retries, false),
+                FaultPolicy::RetryThenScalar { max_retries } => (max_retries, true),
+            };
+            let scalar_next = scalar && attempt >= max_retries;
+            if attempt >= max_retries && !scalar_next || scalar_done {
+                self.report.unrecovered += 1;
+                self.log(s, ver.cols, RecoveryAction::Unrecovered);
+                return;
             }
+            // All recovery runs with injection suppressed and on the
+            // calling thread, so the thread-local guards hold.
+            let _quiet = faultinject::suppress();
+            if scalar_next {
+                let _scalar = faultinject::scalar_scope();
+                self.full_repair(st, s, a, b, bufs);
+                self.report.scalar_fallbacks += 1;
+                self.log(s, ver.cols, RecoveryAction::ScalarFallback);
+                scalar_done = true;
+                continue;
+            }
+            if attempt == 0 && ver.localized() {
+                // Fault is in the residue plane itself: re-run just the
+                // NR-aligned stripe covering the mismatching columns, from
+                // the (good) panels.
+                let (jlo, jhi) = ver.cols.expect("localized implies cols");
+                let (c0, c1) = ((jlo / NR) * NR, n.min((jhi / NR + 1) * NR));
+                plane_gemm(st, s, c0..c1, a.panels(), b.panels(), bufs, false, None);
+                self.log(s, Some((c0, c1 - 1)), RecoveryAction::StripeRetry);
+            } else {
+                self.full_repair(st, s, a, b, bufs);
+                self.log(s, ver.cols, RecoveryAction::FullRepair);
+            }
+            self.report.retries += 1;
+            attempt += 1;
         }
-        phases.verify += tv.elapsed();
     }
 
-    // ---- Lines 8–12: fold (identical to the Off path) --------------------
-    let t0 = Instant::now();
-    let precision = if b64 {
-        crate::accumulate::FoldPrecision::Double
-    } else {
-        crate::accumulate::FoldPrecision::Single
-    };
-    crate::accumulate::fold_planes(u, m, n, consts, precision, exps_a, exps_b, out);
-    phases.fold = t0.elapsed();
-    (gemm_calls, report)
-}
-
-/// The two side-channel reference products for plane `s`, computed as
-/// exact host-side widening dot products rather than engine GEMMs (an
-/// `(m, 1, k)` / `(1, n, k)` engine call would spend `NR`-tile padding
-/// and epilogue work on a single output vector): row references
-/// `A'_s · chk_b` into `uchk_pl[..m]` and column references
-/// `chk_a · B'_s` into `uchk_pl[m..]`. Returns the number of checksum
-/// products (2) for [`FaultReport::checksum_gemms`].
-#[allow(clippy::too_many_arguments)]
-fn checksum_refs(
-    a_plane: &[i16],
-    b_plane: &[i16],
-    m: usize,
-    n: usize,
-    kp: usize,
-    p: u64,
-    chk_a: &mut [i16],
-    chk_b: &mut [i16],
-    chk_sum: &mut [i32],
-    uchk_pl: &mut [u8],
-) -> usize {
-    build_checksum_plane(b_plane, n, kp, p, chk_b, chk_sum);
-    build_checksum_plane(a_plane, m, kp, p, chk_a, chk_sum);
-    let (rows, cols) = uchk_pl.split_at_mut(m);
-    for (i, r) in rows.iter_mut().enumerate() {
-        *r = dot_mod(&a_plane[i * kp..(i + 1) * kp], chk_b, p);
+    fn log(&mut self, plane: usize, columns: Option<(usize, usize)>, action: RecoveryAction) {
+        self.report.events.push(FaultEvent {
+            plane,
+            columns,
+            action,
+        });
     }
-    for (j, c) in cols.iter_mut().enumerate() {
-        *c = dot_mod(chk_a, &b_plane[j * kp..(j + 1) * kp], p);
-    }
-    2
-}
 
-/// Heavy recovery: repack the repackable sides from their source
-/// operands (deterministic, so untouched planes and their checksums are
-/// unchanged), rebuild plane `s`'s checksum vectors and references, and
-/// re-run the plane's GEMM. Caller holds the suppress (and possibly
-/// scalar-scope) guard.
-#[allow(clippy::too_many_arguments)]
-fn full_repair(
-    engine: &dyn ResidueBackend,
-    k_block: usize,
-    s: usize,
-    m: usize,
-    n: usize,
-    k: usize,
-    kp: usize,
-    consts: &Constants,
-    b64: bool,
-    a: &mut PanelsRef<'_>,
-    b: &mut PanelsRef<'_>,
-    chk_a16: &mut [i16],
-    chk_b16: &mut [i16],
-    m_pad: usize,
-    n_pad: usize,
-    u: &mut [u8],
-    c32: &mut [i32],
-    racc: &mut [i32],
-    chk_sum: &mut [i32],
-    uchk: &mut [u8],
-    report: &mut FaultReport,
-) {
-    let p = consts.p[s];
-    let pinv = consts.p_inv_u32[s];
-    let plane = m * n;
-    a.repack(k, kp, consts, b64);
-    b.repack(k, kp, consts, b64);
-    report.checksum_gemms += checksum_refs(
-        &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-        &b.panels()[s * n_pad * kp..(s + 1) * n_pad * kp],
-        m,
-        n,
-        kp,
-        p,
-        &mut chk_a16[s * kp..(s + 1) * kp],
-        &mut chk_b16[s * kp..(s + 1) * kp],
-        chk_sum,
-        &mut uchk[s * (m + n)..(s + 1) * (m + n)],
-    );
-    plane_gemm(
-        engine,
-        k_block,
-        m,
-        n,
-        k,
-        kp,
-        p,
-        pinv,
-        &a.panels()[s * m_pad * kp..(s + 1) * m_pad * kp],
-        &b.panels()[s * n_pad * kp..(s + 1) * n_pad * kp],
-        c32,
-        racc,
-        &mut u[s * plane..(s + 1) * plane],
-        false,
-        None,
-    );
+    /// Plane `s`'s checksum vectors and its two reference products,
+    /// computed as exact host-side widening dot products rather than
+    /// engine GEMMs (an `(m, 1, k)` / `(1, n, k)` engine call would spend
+    /// `NR`-tile padding and epilogue work on a single output vector).
+    fn capture(&mut self, st: &Planes<'_>, s: usize, a16: &[i16], b16: &[i16]) {
+        let (m, n, kp, p) = (st.m, st.n, st.kp, st.consts.p[s]);
+        let (a, b) = (&a16[st.a_range(s)], &b16[st.b_range(s)]);
+        let bufs = &mut self.bufs;
+        let (chk_a, chk_b) = (&mut bufs.chk_a16[..kp], &mut bufs.chk_b16[..kp]);
+        build_checksum_plane(b, n, kp, p, chk_b, bufs.chk_sum);
+        build_checksum_plane(a, m, kp, p, chk_a, bufs.chk_sum);
+        let (rows, cols) = bufs.uchk[..m + n].split_at_mut(m);
+        for (i, r) in rows.iter_mut().enumerate() {
+            *r = dot_mod(&a[i * kp..(i + 1) * kp], chk_b, p);
+        }
+        for (j, c) in cols.iter_mut().enumerate() {
+            *c = dot_mod(chk_a, &b[j * kp..(j + 1) * kp], p);
+        }
+        self.report.checksum_gemms += 2;
+    }
+
+    /// Heavy recovery: repack the repackable sides from their source
+    /// operands (deterministic, so the other planes are unchanged), then
+    /// the loop's own capture and plane GEMM for plane `s`. Caller holds
+    /// the suppress (and possibly scalar-scope) guard.
+    fn full_repair(
+        &mut self,
+        st: &Planes<'_>,
+        s: usize,
+        a: &mut PanelsRef<'_>,
+        b: &mut PanelsRef<'_>,
+        bufs: &mut PlaneBufs<'_>,
+    ) {
+        a.repack(st);
+        b.repack(st);
+        self.capture(st, s, a.panels(), b.panels());
+        plane_gemm(st, s, 0..st.n, a.panels(), b.panels(), bufs, false, None);
+    }
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@
 
 use crate::consts::Constants;
 use crate::scale::{ilog2_abs, pow2_split, scale_by_pow2};
+use gemm_exact::Dd;
 use rayon::prelude::*;
 
 /// Which weight split drives the accumulation.
@@ -376,6 +377,44 @@ pub fn fold_planes(
             } else {
                 *o = scale_by_pow2(x, e2);
             }
+        }
+    });
+}
+
+/// [`fold_planes`] evaluated in double-double arithmetic, for the
+/// double-double output of [`crate::dgemm_dd`] (§6): the fold
+/// `C'' = Σ (s1 + s2)·u - P·Q` keeps ~`β + 53` bits of each weight, and
+/// the inverse scaling (exact powers of two) applies to both components.
+/// `C'⁽¹⁾` is exact by the β construction, as in the f64 fold.
+pub(crate) fn fold_planes_dd(
+    u: &[u8],
+    m: usize,
+    n: usize,
+    consts: &Constants,
+    exps_a: &[i32],
+    exps_b: &[i32],
+    out: &mut [Dd],
+) {
+    let plane = m * n;
+    let nmod = consts.n;
+    let p_dd = Dd::renorm(consts.p1, consts.p2);
+    out.par_chunks_mut(m).enumerate().for_each(|(j, out_col)| {
+        for (i, o) in out_col.iter_mut().enumerate() {
+            let idx = j * m + i;
+            let mut c1 = 0.0f64;
+            let mut c2 = Dd::ZERO;
+            for s in 0..nmod {
+                let us = u[s * plane + idx] as f64;
+                c1 += consts.s1[s] * us;
+                c2 = c2.fma_acc(consts.s2[s], us);
+            }
+            let q = (consts.p_inv * c1).round();
+            let cpp = c2.add_f64(c1).sub(p_dd.mul_f64(q));
+            let e = -(exps_a[i] + exps_b[j]);
+            *o = Dd {
+                hi: scale_by_pow2(cpp.hi, e),
+                lo: scale_by_pow2(cpp.lo, e),
+            };
         }
     });
 }

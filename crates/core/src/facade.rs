@@ -26,8 +26,8 @@ use crate::element::Element;
 use crate::moduli::backend_n_max;
 use crate::nselect;
 use crate::pipeline::{
-    front_end, make_report, obs_record_report, run_panels, EmulationError, EmulationReport, Mode,
-    Ozaki2, PhaseTimes, Workspace, WsBuffers,
+    front_end, make_report, obs_record_report, run_panels, EmulationError, EmulationReport,
+    FoldOut, Mode, Ozaki2, PhaseTimes, Planes, Workspace, WsBuffers,
 };
 use crate::prepared::OperandSide;
 use crate::scale::row_chunk;
@@ -305,13 +305,14 @@ impl Ozaki2 {
                 ws.reserve_stage(m * n);
             }
             if policy.is_active() {
-                ws.reserve_abft(m, n, k, nmod);
+                ws.reserve_abft(m, n, k);
             }
             let WsBuffers {
                 a16,
                 b16,
                 cstage,
-                scratch,
+                planes,
+                abft,
             } = ws.buffers();
             let a16 = &mut a16[..nmod * m_pad * kp];
             let b16 = &mut b16[..nmod * n_pad * kp];
@@ -332,20 +333,16 @@ impl Ozaki2 {
                 None => &mut cstage[..m * n],
             };
             let (calls, fault) = run_panels(
-                m,
-                n,
-                k,
-                consts,
-                T::IS_F64,
-                backend.engine().backend(),
+                &Planes::new((m, n, k), consts, T::IS_F64, backend),
                 PanelsRef::raw(a16, &a, OperandSide::A, &exps_a),
                 PanelsRef::raw(b16, &b, OperandSide::B, &exps_b),
                 &exps_a,
                 &exps_b,
-                scratch,
+                planes,
+                abft,
                 true,
                 policy,
-                dst,
+                FoldOut::F64(dst),
                 &mut phases,
             );
             if staged {

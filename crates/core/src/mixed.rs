@@ -7,45 +7,35 @@
 //! evaluated in DD arithmetic instead of the FMA chain of line 11, so the
 //! reconstruction keeps ~`β + 53` bits of each weight. The result is
 //! accurate beyond FP64: the limit becomes the Step-2 truncation
-//! (~`2·p_fast - log2 k` bits), e.g. ~68 bits at `N = 20`. Lines 1–7 are
-//! the pipeline's own stages ([`crate::pipeline::front_end`] and
-//! [`crate::pipeline::residue_stage`]); only the fold differs.
+//! (~`2·p_fast - log2 k` bits), e.g. ~68 bits at `N = 20`. It runs the
+//! pipeline's own stages (`front_end`, then `run_panels` with its ABFT
+//! hook); only the fold's output type differs.
 //!
 //! Heterogeneous inputs need no entry of their own: widening f32 to f64
 //! is exact, so an FP64 × FP32 product is [`crate::Ozaki2::dgemm`] on the
 //! widened operand.
 
+use crate::abft::PanelsRef;
 use crate::consts::constants_for;
 use crate::facade::validate_view;
-use crate::moduli::N_MAX;
-use crate::pipeline::{front_end, residue_stage, EmulationError, Mode, PhaseTimes, Workspace};
+use crate::pipeline::{
+    front_end, run_panels, EmulationError, FoldOut, Ozaki2, PhaseTimes, Planes, Workspace,
+    WsBuffers,
+};
 use crate::prepared::OperandSide;
-use crate::scale::scale_by_pow2;
 use gemm_dense::{MatF64, Matrix};
-use gemm_engine::BackendKind;
 use gemm_exact::Dd;
-use rayon::prelude::*;
 
 /// Emulated product with a double-double result: `C ≈ A·B` to ~`2·p_fast`
-/// bits (beyond FP64 for large `N`), on the INT8 pool. Any `k` is
-/// supported: past `2^17` the residue GEMMs run the pipeline's block path.
+/// bits (beyond FP64 for large `N`). Like every other entry it runs on
+/// `emu`'s moduli count, mode, fault policy and backend. Any `k` is
+/// supported: past the pool's block limit the residue GEMMs run the
+/// pipeline's block path.
 ///
 /// # Errors
-/// [`EmulationError::UnsupportedN`] for `N` outside `2..=`[`N_MAX`],
 /// [`EmulationError::ShapeMismatch`] when the inner dimensions disagree,
 /// and [`EmulationError::NonFiniteInput`].
-pub fn dgemm_dd(
-    a: &MatF64,
-    b: &MatF64,
-    n_moduli: usize,
-    mode: Mode,
-) -> Result<Matrix<Dd>, EmulationError> {
-    if !(2..=N_MAX).contains(&n_moduli) {
-        return Err(EmulationError::UnsupportedN {
-            n: n_moduli,
-            max: N_MAX,
-        });
-    }
+pub fn dgemm_dd(emu: &Ozaki2, a: &MatF64, b: &MatF64) -> Result<Matrix<Dd>, EmulationError> {
     let (m, k) = a.shape();
     let n = b.cols();
     if b.rows() != k {
@@ -54,71 +44,49 @@ pub fn dgemm_dd(
     let (a, b) = (a.view(), b.view());
     validate_view(&a, OperandSide::A)?;
     validate_view(&b, OperandSide::B)?;
-    let consts = constants_for(BackendKind::Int8, n_moduli);
-    let nmod = consts.n;
-    let plane = m * n;
     let mut out = Matrix::<Dd>::zeros(m, n);
-    if plane == 0 || k == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return Ok(out);
     }
-
+    let consts = constants_for(emu.backend(), emu.n_moduli());
+    let policy = emu.fault_policy();
     let mut ws = Workspace::new();
-    ws.reserve(m, n, k, nmod);
-    let bufs = ws.buffers();
+    ws.reserve(m, n, k, consts.n);
+    if policy.is_active() {
+        ws.reserve_abft(m, n, k);
+    }
+    let WsBuffers {
+        a16,
+        b16,
+        planes,
+        abft,
+        ..
+    } = ws.buffers();
     let mut phases = PhaseTimes::default();
-    let (exps_a, exps_b, _) =
-        front_end(&a, &b, mode, consts, true, bufs.a16, bufs.b16, &mut phases);
-    let engine = BackendKind::Int8.engine().backend();
-    let s = bufs.scratch;
-    residue_stage(
-        m,
-        n,
-        k,
-        consts,
-        engine,
-        bufs.a16,
-        bufs.b16,
-        s.u,
-        s.c32,
-        s.racc,
+    let (exps_a, exps_b, _) = front_end(&a, &b, emu.mode(), consts, true, a16, b16, &mut phases);
+    run_panels(
+        &Planes::new((m, n, k), consts, true, emu.backend()),
+        PanelsRef::raw(a16, &a, OperandSide::A, &exps_a),
+        PanelsRef::raw(b16, &b, OperandSide::B, &exps_b),
+        &exps_a,
+        &exps_b,
+        planes,
+        abft,
         true,
+        policy,
+        FoldOut::Dd(out.as_mut_slice()),
         &mut phases,
     );
-    let u = &s.u[..nmod * plane];
-
-    // DD fold: c = Σ (s1 + s2)·u - P·Q, everything in double-double.
-    let p_dd = Dd::renorm(consts.p1, consts.p2);
-    out.as_mut_slice()
-        .par_chunks_mut(m)
-        .enumerate()
-        .for_each(|(j, out_col)| {
-            let col_off = j * m;
-            for (i, o) in out_col.iter_mut().enumerate() {
-                let idx = col_off + i;
-                let mut c1 = 0.0f64; // exact by the β construction
-                let mut c2 = Dd::ZERO;
-                for s in 0..nmod {
-                    let us = u[s * plane + idx] as f64;
-                    c1 += consts.s1[s] * us;
-                    c2 = c2.fma_acc(consts.s2[s], us);
-                }
-                let q = (consts.p_inv * c1).round();
-                let cpp = c2.add_f64(c1).sub(p_dd.mul_f64(q));
-                let e = -(exps_a[i] + exps_b[j]);
-                // Exact power-of-two scaling of both components.
-                *o = Dd {
-                    hi: scale_by_pow2(cpp.hi, e),
-                    lo: scale_by_pow2(cpp.lo, e),
-                };
-            }
-        });
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::moduli::backend_n_max;
+    use crate::pipeline::Mode;
     use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
+    use gemm_engine::BackendKind;
     use gemm_exact::dd_gemm;
 
     fn dd_rel_err(got: &Matrix<Dd>, want: &Matrix<Dd>) -> f64 {
@@ -137,8 +105,9 @@ mod tests {
         let a = phi_matrix_f64(m, k, 0.5, 123, 0);
         let b = phi_matrix_f64(k, n, 0.5, 123, 1);
         let oracle = dd_gemm(&a, &b);
-        let dd = dgemm_dd(&a, &b, 20, Mode::Fast).unwrap();
-        let plain = crate::Ozaki2::new(20, Mode::Fast).dgemm(&a, &b);
+        let emu = Ozaki2::new(20, Mode::Fast);
+        let dd = dgemm_dd(&emu, &a, &b).unwrap();
+        let plain = emu.dgemm(&a, &b);
         let e_dd = dd_rel_err(&dd, &oracle);
         let e_plain = gemm_exact::max_rel_error_vs_dd(&plain, &oracle);
         assert!(
@@ -153,16 +122,21 @@ mod tests {
 
     #[test]
     fn dd_output_converges_with_n() {
+        // On every pool, up to the pool's largest N.
         let (m, n, k) = (12, 12, 24);
         let a = phi_matrix_f64(m, k, 0.5, 5, 0);
         let b = phi_matrix_f64(k, n, 0.5, 5, 1);
         let oracle = dd_gemm(&a, &b);
-        let mut last = f64::INFINITY;
-        for nmod in [10usize, 14, 18, 20] {
-            let dd = dgemm_dd(&a, &b, nmod, Mode::Fast).unwrap();
-            let e = dd_rel_err(&dd, &oracle).max(1e-25);
-            assert!(e < last * 4.0, "N={nmod}: {e:e} vs {last:e}");
-            last = e;
+        for backend in BackendKind::ALL {
+            let max = backend_n_max(backend, false);
+            let mut last = f64::INFINITY;
+            for nmod in [max - 10, max - 6, max - 2, max] {
+                let emu = Ozaki2::new(nmod, Mode::Fast).with_backend(backend);
+                let dd = dgemm_dd(&emu, &a, &b).unwrap();
+                let e = dd_rel_err(&dd, &oracle).max(1e-25);
+                assert!(e < last * 4.0, "{backend} N={nmod}: {e:e} vs {last:e}");
+                last = e;
+            }
         }
     }
 
@@ -172,7 +146,7 @@ mod tests {
         let (m, n, k) = (16, 16, 32);
         let a = phi_matrix_f64(m, k, 0.5, 9, 0);
         let b32 = phi_matrix_f32(k, n, 0.5, 9, 1);
-        let emu = crate::Ozaki2::new(14, Mode::Fast);
+        let emu = Ozaki2::new(14, Mode::Fast);
         let c = emu.dgemm(&a, &b32.map(|x| x as f64));
         let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b32.map(|x| x as f64));
         let err = gemm_dense::norms::max_relative_error(&c, &exact);
@@ -198,7 +172,7 @@ mod tests {
         ] {
             let a = phi_matrix_f64(m, k, phi, 71, 0);
             let b = phi_matrix_f64(k, n, phi, 72, 1);
-            for x in dgemm_dd(&a, &b, nmod, mode).unwrap().iter() {
+            for x in dgemm_dd(&Ozaki2::new(nmod, mode), &a, &b).unwrap().iter() {
                 eat(x.hi.to_bits());
                 eat(x.lo.to_bits());
             }
@@ -222,7 +196,7 @@ mod tests {
         let k = crate::K_BLOCK_MAX + 3;
         let a = Matrix::from_fn(2, k, |i, h| ((i + h) % 3) as f64 - 1.0);
         let b = Matrix::from_fn(k, 2, |h, j| ((h * 7 + j) % 5) as f64 - 2.0);
-        let dd = dgemm_dd(&a, &b, 10, Mode::Fast).unwrap();
+        let dd = dgemm_dd(&Ozaki2::new(10, Mode::Fast), &a, &b).unwrap();
         for i in 0..2 {
             for j in 0..2 {
                 let exact: i64 = (0..k).map(|h| a[(i, h)] as i64 * b[(h, j)] as i64).sum();
@@ -234,20 +208,17 @@ mod tests {
 
     #[test]
     fn dd_returns_typed_errors() {
+        let emu = Ozaki2::new(8, Mode::Fast);
         let a = phi_matrix_f64(3, 4, 0.5, 1, 0);
         let b = phi_matrix_f64(5, 2, 0.5, 1, 1);
         assert_eq!(
-            dgemm_dd(&a, &b, 8, Mode::Fast).unwrap_err(),
+            dgemm_dd(&emu, &a, &b).unwrap_err(),
             EmulationError::ShapeMismatch
         );
         let mut b4 = phi_matrix_f64(4, 2, 0.5, 1, 1);
-        assert_eq!(
-            dgemm_dd(&a, &b4, 1, Mode::Fast).unwrap_err(),
-            EmulationError::UnsupportedN { n: 1, max: N_MAX }
-        );
         b4[(1, 1)] = f64::INFINITY;
         assert_eq!(
-            dgemm_dd(&a, &b4, 8, Mode::Fast).unwrap_err(),
+            dgemm_dd(&emu, &a, &b4).unwrap_err(),
             EmulationError::NonFiniteInput {
                 side: OperandSide::B,
                 index: 5,
@@ -261,7 +232,7 @@ mod tests {
         // must be (value, 0).
         let a = Matrix::from_fn(4, 6, |i, j| (i as f64) - (j as f64));
         let b = Matrix::from_fn(6, 4, |i, j| (2 * i) as f64 - j as f64);
-        let dd = dgemm_dd(&a, &b, 8, Mode::Fast).unwrap();
+        let dd = dgemm_dd(&Ozaki2::new(8, Mode::Fast), &a, &b).unwrap();
         let exact = gemm_dense::gemm::gemm_f64_naive(&a, &b);
         for (g, w) in dd.iter().zip(exact.iter()) {
             assert_eq!(g.hi, *w);

@@ -5,12 +5,15 @@
 //! the ABFT fault policy and the residue backend. Its GEMM entries live in
 //! [`crate::facade`] (`gemm` / `gemm_into`) and [`crate::prepared`]
 //! (`prepare` / `execute`); `dgemm` / `sgemm` here are the panicking
-//! owned-matrix conveniences over `gemm`. The shared Algorithm-1 stages
-//! every entry runs ([`front_end`], [`residue_stage`], [`run_panels`])
-//! are defined at the bottom of this file.
+//! owned-matrix conveniences over `gemm`; [`crate::dgemm_dd`] is the
+//! double-double-output entry. The shared Algorithm-1 stages every entry
+//! runs (`front_end` for lines 1–5; `run_panels` for lines 6–12, whose
+//! `residue_stage` loop runs one `plane_gemm` per modulus and whose one
+//! fold site writes f64 or double-double) are defined at the bottom of
+//! this file.
 
-use crate::abft::{execute_panels_ft, FaultPolicy, FaultReport, FtScratch, PanelsRef};
-use crate::accumulate::{fold_planes, FoldPrecision};
+use crate::abft::{Abft, AbftBufs, FaultPolicy, FaultReport, PanelsRef};
+use crate::accumulate::{fold_planes, fold_planes_dd, FoldPrecision};
 use crate::consts::Constants;
 use crate::convert::trunc_convert_pack_panels;
 use crate::element::Element;
@@ -22,7 +25,9 @@ use crate::prepared::OperandSide;
 use crate::scale::{accurate_scale_view, fast_scale_a_view, fast_scale_b_view};
 use gemm_dense::{MatF32, MatF64, MatMulF32, MatMulF64, MatView};
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind, ResidueBackend};
+use gemm_exact::Dd;
 use gemm_obs::TimeShare;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -312,13 +317,13 @@ pub struct Workspace {
     /// results (narrowed afterwards) and strided or `alpha`/`beta`
     /// epilogue outputs of the view facade.
     cstage: Vec<f64>,
-    /// ABFT checksum vectors for `A` (`N` planes of `kp` i16 each; empty
-    /// unless a fault policy is active).
+    /// ABFT checksum vector for `A` of the plane in flight (`kp` i16;
+    /// empty unless a fault policy is active).
     chk_a16: Vec<i16>,
-    /// ABFT checksum vectors for `B` (`N` planes of `kp` i16 each).
+    /// ABFT checksum vector for `B` of the plane in flight (`kp` i16).
     chk_b16: Vec<i16>,
-    /// ABFT checksum references: per plane, `m` row-sum residues followed
-    /// by `n` column-sum residues.
+    /// ABFT checksum references of the plane in flight: `m` row-sum
+    /// residues followed by `n` column-sum residues.
     uchk: Vec<u8>,
     /// i32 accumulator for checksum-vector construction (`kp` entries,
     /// re-reduced mod `p` between chunks so it never overflows).
@@ -329,14 +334,24 @@ pub struct Workspace {
 
 /// Mutable borrows of every [`Workspace`] buffer at once, for the
 /// execution paths that juggle several of them simultaneously: the two
-/// panel buffers, the fold staging buffer and the back half's
-/// [`FtScratch`]. The ABFT buffers in `scratch` are empty unless
-/// [`Workspace::reserve_abft`] ran.
+/// panel buffers, the fold staging buffer, the residue loop's
+/// [`PlaneBufs`] and the ABFT hook's [`AbftBufs`] (empty unless
+/// [`Workspace::reserve_abft`] ran).
 pub(crate) struct WsBuffers<'w> {
     pub a16: &'w mut [i16],
     pub b16: &'w mut [i16],
     pub cstage: &'w mut [f64],
-    pub scratch: FtScratch<'w>,
+    pub planes: PlaneBufs<'w>,
+    pub abft: AbftBufs<'w>,
+}
+
+/// The residue loop's scratch: the `N` UINT8 residue planes, the INT32
+/// product plane and the block-residue accumulator (only consumed past
+/// the pool's k-block limit).
+pub(crate) struct PlaneBufs<'w> {
+    pub u: &'w mut [u8],
+    pub c32: &'w mut [i32],
+    pub racc: &'w mut [i32],
 }
 
 impl Workspace {
@@ -431,18 +446,19 @@ impl Workspace {
     /// Grow-only resize of the ABFT side-channel buffers (checksum vectors,
     /// checksum references, verification scratch). Only called when a
     /// fault policy is active — [`crate::abft::FaultPolicy::Off`] packs no
-    /// checksum columns and allocates nothing here.
-    pub(crate) fn reserve_abft(&mut self, m: usize, n: usize, k: usize, nmod: usize) {
+    /// checksum columns and allocates nothing here. The residue loop
+    /// verifies each plane before it captures the next, so the buffers
+    /// hold one plane's worth.
+    pub(crate) fn reserve_abft(&mut self, m: usize, n: usize, k: usize) {
         let kp = padded_depth(k);
-        let want = nmod * kp;
-        if self.chk_a16.len() < want {
-            self.chk_a16.resize(want, 0);
+        if self.chk_a16.len() < kp {
+            self.chk_a16.resize(kp, 0);
         }
-        if self.chk_b16.len() < want {
-            self.chk_b16.resize(want, 0);
+        if self.chk_b16.len() < kp {
+            self.chk_b16.resize(kp, 0);
         }
-        if self.uchk.len() < nmod * (m + n) {
-            self.uchk.resize(nmod * (m + n), 0);
+        if self.uchk.len() < m + n {
+            self.uchk.resize(m + n, 0);
         }
         if self.chk_sum.len() < kp {
             self.chk_sum.resize(kp, 0);
@@ -459,10 +475,12 @@ impl Workspace {
             a16: &mut self.a16,
             b16: &mut self.b16,
             cstage: &mut self.cstage,
-            scratch: FtScratch {
+            planes: PlaneBufs {
                 u: &mut self.u,
                 c32: &mut self.c32,
                 racc: &mut self.racc,
+            },
+            abft: AbftBufs {
                 chk_a16: &mut self.chk_a16,
                 chk_b16: &mut self.chk_b16,
                 uchk: &mut self.uchk,
@@ -734,184 +752,212 @@ pub(crate) fn front_end<T: Element>(
     }
 }
 
-/// Algorithm 1 lines 6–7 over already-packed residue panels: the `N`
-/// residue-plane GEMMs on `engine` with fused modular reduction into the
-/// UINT8 planes `u`, and the block-residue finalization for `k` past the
-/// pool's block limit. Returns the number of engine GEMMs run.
-///
-/// `a16` / `b16` hold `N` panel sets of `m_pad * kp` / `n_pad * kp` i16
-/// each; `c32` is the INT32 product plane and `racc` the block-residue
-/// accumulator (only consumed past the block limit). Every backend
-/// computes the same exact integers over the same stripe decomposition
-/// and the same pool-derived k-blocking, so the planes are bit-identical
-/// for every `engine`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn residue_stage(
-    m: usize,
-    n: usize,
-    k: usize,
-    consts: &Constants,
-    engine: &dyn ResidueBackend,
-    a16: &[i16],
-    b16: &[i16],
-    u: &mut [u8],
-    c32: &mut [i32],
-    racc: &mut [i32],
-    parallel: bool,
-    phases: &mut PhaseTimes,
-) -> usize {
-    let nmod = consts.n;
-    let plane = m * n;
-    let kp = padded_depth(k);
-    let m_pad = padded_a_rows(m);
-    let n_pad = padded_b_cols(n);
-    // Pool-derived (`p_max`, the largest modulus): every backend splits
-    // at the same depth, which the bit-identity across engines rests on.
-    let k_block = engine.k_block_max(consts.p[0]);
-    let mut gemm_calls = 0usize;
-
-    // The mod-p reduction runs inside the GEMM call, on cache-resident `C`
-    // stripes (see `gemm_engine::Epilogue`); the slowest worker's epilogue
-    // time lands in `mod_nanos` so the phase split survives the fusion.
-    let u = &mut u[..nmod * plane];
-    let c32 = &mut c32[..plane];
-    let mod_nanos = AtomicU64::new(0);
-    let attribute = |t0: Instant, phases: &mut PhaseTimes| {
-        let total = t0.elapsed();
-        let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
-        phases.mod_reduce += modd;
-        phases.int8_gemm += total.saturating_sub(modd);
-    };
-    for s in 0..nmod {
-        let a_panels = &a16[s * m_pad * kp..(s + 1) * m_pad * kp];
-        let b_panels = &b16[s * n_pad * kp..(s + 1) * n_pad * kp];
-        let u_s = &mut u[s * plane..(s + 1) * plane];
-        if k <= k_block {
-            let t0 = Instant::now();
-            engine.gemm_reduce(
-                m,
-                n,
-                k,
-                a_panels,
-                b_panels,
-                kp,
-                0,
-                c32,
-                u_s,
-                consts.p[s],
-                consts.p_inv_u32[s],
-                Some(&mod_nanos),
-                parallel,
-            );
-            gemm_calls += 1;
-            attribute(t0, phases);
-            continue;
-        }
-        // k-blocking: reduce each block's products mod p, accumulate the
-        // residues in i32, reduce once more at the end. Every block is a
-        // PK-aligned depth window of the same packed panels — no
-        // repacking, no copies.
-        let racc = &mut racc[..plane];
-        racc.fill(0);
-        let mut h0 = 0usize;
-        while h0 < k {
-            let kb = k_block.min(k - h0);
-            let t0 = Instant::now();
-            engine.gemm_accumulate(
-                m,
-                n,
-                kb,
-                a_panels,
-                b_panels,
-                kp,
-                h0,
-                c32,
-                racc,
-                consts.p[s],
-                consts.p_inv_u32[s],
-                Some(&mod_nanos),
-                parallel,
-            );
-            gemm_calls += 1;
-            attribute(t0, phases);
-            h0 += kb;
-        }
-        let t0 = Instant::now();
-        finalize_block_residues(racc, consts.p[s], consts.p_inv_u32[s], u_s);
-        phases.mod_reduce += t0.elapsed();
-    }
-    gemm_calls
+/// One product's residue planes: the shape `m x k · k x n`, the moduli
+/// pool and its fold precision (`b64`: DGEMM weights, else SGEMM), the
+/// engine that runs them — the configured backend's unless
+/// `OZAKI_FORCE_BACKEND` swaps it — and what every plane GEMM derives from
+/// these: the padded panel extents and the pool's k-block depth.
+#[derive(Clone, Copy)]
+pub(crate) struct Planes<'c> {
+    pub m: usize,
+    pub n: usize,
+    pub k: usize,
+    pub kp: usize,
+    pub m_pad: usize,
+    pub n_pad: usize,
+    pub k_block: usize,
+    pub consts: &'c Constants,
+    pub b64: bool,
+    pub engine: &'static dyn ResidueBackend,
 }
 
-/// Algorithm 1 lines 6–12 over packed panels under `policy`: the ABFT
-/// executor ([`execute_panels_ft`]) when a policy is active, otherwise
-/// [`residue_stage`] followed by the CRT fold with inverse scaling. This
-/// is the shared back half of [`Ozaki2::gemm_into`] and
-/// [`Ozaki2::execute`], which is what makes prepared and batched results
-/// bit-identical to per-call [`Ozaki2::dgemm`]. Returns the engine GEMMs
-/// run and the ABFT outcome (`None` under [`FaultPolicy::Off`]).
+impl<'c> Planes<'c> {
+    pub(crate) fn new(
+        (m, n, k): (usize, usize, usize),
+        consts: &'c Constants,
+        b64: bool,
+        backend: BackendKind,
+    ) -> Self {
+        let engine = backend.engine().backend();
+        Self {
+            m,
+            n,
+            k,
+            kp: padded_depth(k),
+            m_pad: padded_a_rows(m),
+            n_pad: padded_b_cols(n),
+            // Pool-derived (`p_max`, the largest modulus): every backend
+            // splits at the same depth, which the bit-identity across
+            // engines rests on.
+            k_block: engine.k_block_max(consts.p[0]),
+            consts,
+            b64,
+            engine,
+        }
+    }
+
+    /// Plane `s`'s packed A panels within the `N` panel sets.
+    pub(crate) fn a_range(&self, s: usize) -> Range<usize> {
+        s * self.m_pad * self.kp..(s + 1) * self.m_pad * self.kp
+    }
+
+    /// Plane `s`'s packed B panels within the `N` panel sets.
+    pub(crate) fn b_range(&self, s: usize) -> Range<usize> {
+        s * self.n_pad * self.kp..(s + 1) * self.n_pad * self.kp
+    }
+}
+
+/// Algorithm 1 lines 6–7 for one plane: the residue GEMM of plane `s`
+/// over output columns `cols` (`0..n`, or an NR-aligned stripe a recovery
+/// re-runs) on the engine, with the mod-`p_s` reduction fused into the
+/// call, into the plane's columns of `bufs.u`. Past the pool's k-block
+/// depth each PK-aligned depth window of the same packed panels (no
+/// repacking, no copies) reduces mod `p` into the i32 `racc`, which is
+/// reduced once more at the end. With `phases`, each call's time splits
+/// into `int8_gemm` and `mod_reduce` (the slowest worker's fused-epilogue
+/// time, plus the block finalization). Returns the engine GEMMs run.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn plane_gemm(
+    st: &Planes<'_>,
+    s: usize,
+    cols: Range<usize>,
+    a16: &[i16],
+    b16: &[i16],
+    bufs: &mut PlaneBufs<'_>,
+    parallel: bool,
+    mut phases: Option<&mut PhaseTimes>,
+) -> usize {
+    let (m, n, k, kp) = (st.m, cols.len(), st.k, st.kp);
+    let (p, pinv) = (st.consts.p[s], st.consts.p_inv_u32[s]);
+    let a = &a16[st.a_range(s)];
+    let b = &b16[st.b_range(s)][cols.start * kp..];
+    let u0 = s * m * st.n;
+    let u = &mut bufs.u[u0 + cols.start * m..u0 + cols.end * m];
+    let c32 = &mut bufs.c32[..m * n];
+    let mod_nanos = AtomicU64::new(0);
+    let nanos = phases.is_some().then_some(&mod_nanos);
+    let attribute = |t0: Instant, phases: &mut Option<&mut PhaseTimes>| {
+        if let Some(ph) = phases {
+            let modd = Duration::from_nanos(mod_nanos.swap(0, Ordering::Relaxed));
+            ph.mod_reduce += modd;
+            ph.int8_gemm += t0.elapsed().saturating_sub(modd);
+        }
+    };
+    if k <= st.k_block {
+        let t0 = Instant::now();
+        st.engine
+            .gemm_reduce(m, n, k, a, b, kp, 0, c32, u, p, pinv, nanos, parallel);
+        attribute(t0, &mut phases);
+        return 1;
+    }
+    let racc = &mut bufs.racc[..m * n];
+    racc.fill(0);
+    let mut calls = 0usize;
+    let mut h0 = 0usize;
+    while h0 < k {
+        let kb = st.k_block.min(k - h0);
+        let t0 = Instant::now();
+        st.engine
+            .gemm_accumulate(m, n, kb, a, b, kp, h0, c32, racc, p, pinv, nanos, parallel);
+        attribute(t0, &mut phases);
+        calls += 1;
+        h0 += kb;
+    }
+    let t0 = Instant::now();
+    finalize_block_residues(racc, p, pinv, u);
+    if let Some(ph) = phases {
+        ph.mod_reduce += t0.elapsed();
+    }
+    calls
+}
+
+/// Algorithm 1 lines 6–7: the loop over the `N` moduli, one
+/// [`plane_gemm`] each. Every backend computes the same exact integers
+/// over the same stripe decomposition and the same pool-derived
+/// k-blocking, so the planes are bit-identical for every engine. With an
+/// `abft` hook, each plane's checksums are captured (and the panel fault
+/// seams run) before its GEMM, and the plane is verified and recovered
+/// after it; the hook's time lands in `phases.verify`. Returns the engine
+/// GEMMs run (recovery re-runs are counted in the hook's report).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn residue_stage(
+    st: &Planes<'_>,
+    a: &mut PanelsRef<'_>,
+    b: &mut PanelsRef<'_>,
+    bufs: &mut PlaneBufs<'_>,
+    parallel: bool,
+    mut abft: Option<&mut Abft<'_>>,
+    phases: &mut PhaseTimes,
+) -> usize {
+    let mut calls = 0usize;
+    for s in 0..st.consts.n {
+        if let Some(ft) = abft.as_deref_mut() {
+            let t0 = Instant::now();
+            ft.before_plane(st, s, a, b);
+            phases.verify += t0.elapsed();
+        }
+        let (a16, b16) = (a.panels(), b.panels());
+        calls += plane_gemm(st, s, 0..st.n, a16, b16, bufs, parallel, Some(phases));
+        if let Some(ft) = abft.as_deref_mut() {
+            let t0 = Instant::now();
+            ft.after_plane(st, s, a, b, bufs);
+            phases.verify += t0.elapsed();
+        }
+    }
+    calls
+}
+
+/// Where the fold writes: the f64 output, or the double-double one
+/// ([`crate::dgemm_dd`]).
+pub(crate) enum FoldOut<'o> {
+    F64(&'o mut [f64]),
+    Dd(&'o mut [Dd]),
+}
+
+/// Algorithm 1 lines 6–12 over packed panels: [`residue_stage`] — with
+/// the [`Abft`] hook when `policy` is active — then the CRT fold with
+/// inverse scaling into `out`. This is the shared back half of every
+/// entry, which is what makes prepared and batched results bit-identical
+/// to per-call [`Ozaki2::dgemm`]. Returns the engine GEMMs run and the
+/// ABFT outcome (`None` under [`FaultPolicy::Off`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_panels(
-    m: usize,
-    n: usize,
-    k: usize,
-    consts: &Constants,
-    b64: bool,
-    engine: &dyn ResidueBackend,
-    a: PanelsRef<'_>,
-    b: PanelsRef<'_>,
+    st: &Planes<'_>,
+    mut a: PanelsRef<'_>,
+    mut b: PanelsRef<'_>,
     exps_a: &[i32],
     exps_b: &[i32],
-    scratch: FtScratch<'_>,
+    mut planes: PlaneBufs<'_>,
+    abft_bufs: AbftBufs<'_>,
     parallel: bool,
     policy: FaultPolicy,
-    out: &mut [f64],
+    out: FoldOut<'_>,
     phases: &mut PhaseTimes,
 ) -> (usize, Option<FaultReport>) {
-    if policy.is_active() {
-        let (calls, report) = execute_panels_ft(
-            m, n, k, consts, b64, engine, a, b, exps_a, exps_b, scratch, parallel, policy, out,
-            phases,
-        );
-        return (calls, Some(report));
-    }
-    let FtScratch { u, c32, racc, .. } = scratch;
-    let calls = residue_stage(
-        m,
-        n,
-        k,
-        consts,
-        engine,
-        a.panels(),
-        b.panels(),
-        u,
-        c32,
-        racc,
-        parallel,
-        phases,
-    );
+    let mut abft = policy.is_active().then(|| Abft::new(policy, abft_bufs));
+    let (a, b, ft) = (&mut a, &mut b, abft.as_mut());
+    let calls = residue_stage(st, a, b, &mut planes, parallel, ft, phases);
+    let fault = abft.map(Abft::into_report);
     // ---- Lines 8–12: fold ------------------------------------------------
-    // fold_planes' internal column parallelism nests safely inside an
+    // The folds' internal column parallelism nests safely inside an
     // inter-GEMM worker (nested regions run sequentially on the worker),
-    // and its output is bit-identical for every split.
+    // and their output is bit-identical for every split.
     let t0 = Instant::now();
-    let precision = if b64 {
-        FoldPrecision::Double
-    } else {
-        FoldPrecision::Single
-    };
-    fold_planes(
-        &u[..consts.n * m * n],
-        m,
-        n,
-        consts,
-        precision,
-        exps_a,
-        exps_b,
-        out,
-    );
+    let (m, n, consts) = (st.m, st.n, st.consts);
+    let u = &planes.u[..consts.n * m * n];
+    match out {
+        FoldOut::F64(out) => {
+            let precision = if st.b64 {
+                FoldPrecision::Double
+            } else {
+                FoldPrecision::Single
+            };
+            fold_planes(u, m, n, consts, precision, exps_a, exps_b, out);
+        }
+        FoldOut::Dd(out) => fold_planes_dd(u, m, n, consts, exps_a, exps_b, out),
+    }
     phases.fold += t0.elapsed();
-    (calls, None)
+    (calls, fault)
 }
 
 /// The report every execution entry returns: `backend` is the configured
@@ -940,6 +986,7 @@ pub(crate) fn make_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abft::RecoveryAction::{FullRepair, ScalarFallback};
     use gemm_dense::gemm::gemm_f64_naive;
     use gemm_dense::norms::max_relative_error;
     use gemm_dense::workload::{phi_matrix_f64, uniform_matrix_f64};
@@ -1123,11 +1170,11 @@ mod tests {
     #[test]
     fn k_blocked_path_matches_direct_reference() {
         // k just over the block limit exercises the PK-aligned depth-window
-        // path over the prepacked panels; compare against an independently
-        // computed exact result on tiny m, n (integer inputs make the
-        // reference exact).
+        // path over the prepacked panels, with and without the ABFT hook;
+        // compare against an independently computed exact result on tiny
+        // m, n (integer inputs make the reference exact).
         let k = K_BLOCK_MAX + 129;
-        let (m, n) = (2usize, 2);
+        let (m, n, nmod) = (2usize, 2, 10);
         let mut s = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             s = s
@@ -1137,15 +1184,44 @@ mod tests {
         };
         let a = Matrix::from_fn(m, k, |_, _| next());
         let b = Matrix::from_fn(k, n, |_, _| next());
-        let got = Ozaki2::new(10, Mode::Fast).dgemm(&a, &b);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0i64;
-                for h in 0..k {
-                    acc += (a[(i, h)] as i64) * (b[(h, j)] as i64);
+        let mut calls = None;
+        for policy in [
+            FaultPolicy::Off,
+            FaultPolicy::Detect,
+            FaultPolicy::RetryThenScalar { max_retries: 2 },
+        ] {
+            let emu = Ozaki2::new(nmod, Mode::Fast).with_fault_policy(policy);
+            let out = emu.gemm(GemmArgs::new(&a, &b)).unwrap();
+            let rep = out.report;
+            assert_eq!(
+                *calls.get_or_insert(rep.int8_gemm_calls),
+                rep.int8_gemm_calls
+            );
+            // A fault the environment injects under `Detect` is recorded,
+            // not repaired.
+            let detected = rep.fault.as_ref().is_some_and(|f| f.detected > 0);
+            if policy != FaultPolicy::Detect || !detected {
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0i64;
+                        for h in 0..k {
+                            acc += (a[(i, h)] as i64) * (b[(h, j)] as i64);
+                        }
+                        assert_eq!(out.c[(i, j)], acc as f64, "{policy:?} ({i},{j})");
+                    }
                 }
-                assert_eq!(got[(i, j)], acc as f64, "({i},{j})");
             }
+            let Some(f) = rep.fault else {
+                assert_eq!(policy, FaultPolicy::Off);
+                continue;
+            };
+            // Two checksum products per plane, two more per repair.
+            let repairs = f
+                .events
+                .iter()
+                .filter(|e| matches!(e.action, FullRepair | ScalarFallback))
+                .count();
+            assert_eq!(f.checksum_gemms, 2 * nmod + 2 * repairs, "{policy:?}");
         }
     }
 

@@ -30,8 +30,8 @@ use crate::element::Element;
 use crate::facade::validate_view;
 use crate::moduli::backend_n_max;
 use crate::pipeline::{
-    front_end_side, make_report, run_panels, EmulationError, EmulationReport, Mode, Ozaki2,
-    PhaseTimes, Workspace, WsBuffers,
+    front_end_side, make_report, run_panels, EmulationError, EmulationReport, FoldOut, Mode,
+    Ozaki2, PhaseTimes, Planes, Workspace, WsBuffers,
 };
 use gemm_dense::MatView;
 use gemm_engine::{padded_a_rows, padded_b_cols, padded_depth, BackendKind};
@@ -328,10 +328,14 @@ impl Ozaki2 {
         }
         ws.reserve_exec(m, n, k, nmod);
         if policy.is_active() {
-            ws.reserve_abft(m, n, k, nmod);
+            ws.reserve_abft(m, n, k);
         }
         let WsBuffers {
-            a16, b16, scratch, ..
+            a16,
+            b16,
+            planes,
+            abft,
+            ..
         } = ws.buffers();
         let kp = padded_depth(k);
 
@@ -360,20 +364,16 @@ impl Ozaki2 {
         };
 
         let (calls, fault) = run_panels(
-            m,
-            n,
-            k,
-            consts,
-            b64,
-            backend.engine().backend(),
+            &Planes::new((m, n, k), consts, b64, backend),
             a_ref,
             b_ref,
             exps_a,
             exps_b,
-            scratch,
+            planes,
+            abft,
             parallel,
             policy,
-            out,
+            FoldOut::F64(out),
             &mut phases,
         );
         let report = make_report(self, backend, (m, n, k), phases, calls, fault);

@@ -104,7 +104,7 @@ pub static BACKEND_SELECTED: LabelledCounter = LabelledCounter::new(
 );
 
 // ---------------------------------------------------------------------------
-// ABFT — crates/core (fault-tolerant executor)
+// ABFT — crates/core (the residue loop's ABFT hook)
 // ---------------------------------------------------------------------------
 
 /// Checksum mismatches detected.

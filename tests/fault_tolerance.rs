@@ -2,8 +2,8 @@
 //!
 //! Every test arms deterministic single-bit faults via
 //! [`gemm_engine::faultinject`] and drives the full `ozaki2` stack
-//! through them, pinning the two contracts the fault-tolerant executor
-//! claims:
+//! through them, pinning the two contracts the ABFT hook of the residue
+//! loop claims:
 //!
 //! 1. **Detection** (`FaultPolicy::Detect` and up): whenever an injected
 //!    flip changes the output relative to a fault-free run, the report
@@ -23,7 +23,7 @@
 
 use gemm_dense::workload::{phi_matrix_f32, phi_matrix_f64};
 use gemm_engine::faultinject::{self, FaultSite};
-use ozaki2::{FaultPolicy, GemmArgs, Mode, OperandInput, OperandSide, Ozaki2, Workspace};
+use ozaki2::{dgemm_dd, FaultPolicy, GemmArgs, Mode, OperandInput, OperandSide, Ozaki2, Workspace};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -150,6 +150,39 @@ fn acc_fault_on_the_amx_kernel_is_repaired() {
     );
     assert_eq!(rep.unrecovered, 0, "{rep:?}");
     assert_eq!(out.c, reference, "not repaired bit-identically");
+}
+
+/// The double-double entry runs the same residue loop, ABFT hook
+/// included: a single armed flip at any site the loop guards is repaired
+/// and the DD result equals the `Off` result bit for bit. In accurate mode
+/// an armed `Acc` fault always fires first in the scale-estimation GEMM,
+/// which runs before the residue loop and has no checksums: that case
+/// tests scale estimation, not this entry, and its outcome depends on
+/// where the flip lands, so it is left out here.
+#[test]
+fn dgemm_dd_recovers_injected_faults() {
+    let _g = injector_lock();
+    let (m, n, k) = (16usize, 16usize, 32usize);
+    let a = phi_matrix_f64(m, k, 0.5, 13, 0);
+    let b = phi_matrix_f64(k, n, 0.5, 13, 1);
+    let bits = |c: &gemm_dense::Matrix<gemm_exact::Dd>| -> Vec<(u64, u64)> {
+        c.iter().map(|x| (x.hi.to_bits(), x.lo.to_bits())).collect()
+    };
+    for mode in [Mode::Fast, Mode::Accurate] {
+        let off = Ozaki2::new(12, mode).with_fault_policy(FaultPolicy::Off);
+        let reference = bits(&dgemm_dd(&off, &a, &b).unwrap());
+        let emu = Ozaki2::new(12, mode)
+            .with_fault_policy(FaultPolicy::RetryThenScalar { max_retries: 2 });
+        for site in SITES {
+            if mode == Mode::Accurate && site == FaultSite::Acc {
+                continue;
+            }
+            faultinject::arm_once(site);
+            let got = bits(&dgemm_dd(&emu, &a, &b).unwrap());
+            faultinject::disarm();
+            assert_eq!(got, reference, "{site:?} {mode:?}");
+        }
+    }
 }
 
 /// A clean (fault-free) run under an active policy is bit-identical to
